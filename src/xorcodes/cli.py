@@ -17,6 +17,7 @@ from pathlib import Path
 
 from . import __version__
 from .decoding import (
+    EXACT_ENUMERATION_LIMIT,
     _fmt,
     channel_sweep,
     exact_vd,
@@ -143,8 +144,7 @@ def _cmd_search(args) -> int:
         max_climb_steps=args.max_climb_steps,
         stagnation_limit=args.stagnation_limit,
         master_seed=args.seed,
-        vd_mode="sampled" if args.samples else "exact",
-        vd_samples=args.samples if args.samples else 10_000,
+        samples=args.samples,
         max_subsets=args.max_subsets,
     )
     family = search_family(cfg, algorithm=args.algorithm, threads=args.threads)
@@ -210,7 +210,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--samples", type=int, default=None,
                         help="estimate oversized entries from this many subsets")
     p_eval.add_argument("--seed", type=int, default=0, help="sampling seed")
-    p_eval.add_argument("--max-subsets", type=int, default=2_000_000,
+    p_eval.add_argument("--max-subsets", type=int, default=EXACT_ENUMERATION_LIMIT,
                         help="exact enumeration limit per entry")
     p_eval.add_argument("--out-vd", default="-", help="decoding vector CSV path (default stdout)")
     p_eval.add_argument("--out-sweep", default="-", help="sweep CSV path (default stdout)")
@@ -233,7 +233,7 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="proposal budget per restart")
     p_search.add_argument("--stagnation-limit", type=int, default=40,
                           help="stop a climb after this many consecutive rejections")
-    p_search.add_argument("--max-subsets", type=int, default=2_000_000,
+    p_search.add_argument("--max-subsets", type=int, default=EXACT_ENUMERATION_LIMIT,
                           help="exact enumeration limit per entry")
     p_search.add_argument("--threads", type=int, default=1, help="worker threads for restarts")
     p_search.add_argument("--out", default="-", help="family file path (default stdout)")
@@ -255,7 +255,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--seed", type=int, default=0, help="simulation seed")
     p_sim.add_argument("--samples", type=int, default=None,
                        help="sampled analytic reference with this many subsets per entry")
-    p_sim.add_argument("--max-subsets", type=int, default=2_000_000,
+    p_sim.add_argument("--max-subsets", type=int, default=EXACT_ENUMERATION_LIMIT,
                        help="exact enumeration limit per entry")
     p_sim.set_defaults(func=_cmd_simulate)
     return parser

@@ -16,7 +16,6 @@ import itertools
 import math
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
-from functools import lru_cache
 
 import numpy as np
 
@@ -42,10 +41,6 @@ __all__ = [
 
 # Refuse exact enumeration once any single C(n, m) grows past this.
 EXACT_ENUMERATION_LIMIT = 2_000_000
-
-# Cache full padded index arrays only for modest enumerations; the search
-# loop recomputes the [13, 5] vector thousands of times.
-_PLAN_CACHE_LIMIT = 200_000
 
 _CHUNK = 65_536
 
@@ -142,32 +137,11 @@ def _comb_chunks(n: int, m: int, chunk: int = _CHUNK):
     """Yield (rows, m) index arrays covering all m-subsets of range(n) in order."""
     it = itertools.combinations(range(n), m)
     while True:
-        block = list(itertools.islice(it, chunk))
-        if not block:
+        block = np.fromiter(itertools.chain.from_iterable(itertools.islice(it, chunk)),
+                            dtype=np.int32).reshape(-1, m)
+        if not block.size:
             return
-        yield np.array(block, dtype=np.int64)
-
-
-@lru_cache(maxsize=8)
-def _enum_plan(n: int, k: int):
-    """Padded index array covering every subset size k..n at once, or None if too big.
-
-    Pad index n maps to an appended all-zero column, which cannot change rank.
-    """
-    total = sum(math.comb(n, m) for m in range(k, n + 1))
-    if total > _PLAN_CACHE_LIMIT:
-        return None
-    idx = np.full((total, n), n, dtype=np.int16)
-    sizes = np.empty(total, dtype=np.int16)
-    at = 0
-    for m in range(k, n + 1):
-        for c in itertools.combinations(range(n), m):
-            idx[at, :m] = c
-            sizes[at] = m
-            at += 1
-    idx.flags.writeable = False
-    sizes.flags.writeable = False
-    return idx, sizes
+        yield block
 
 
 def _count_full_rank(G: BinaryMatrix, sizes) -> dict[int, int]:
@@ -175,20 +149,18 @@ def _count_full_rank(G: BinaryMatrix, sizes) -> dict[int, int]:
     k, n = G.rows, G.cols
     packed = G.packed_columns()
     counts = dict.fromkeys(sizes, 0)
-    plan = _enum_plan(n, k) if set(sizes) == set(range(k, n + 1)) else None
-    if plan is not None:
-        idx, subset_sizes = plan
-        padded = np.vstack([packed, np.zeros((1, packed.shape[1]), dtype=np.uint64)])
-        for start in range(0, idx.shape[0], _CHUNK):
-            sl = slice(start, start + _CHUNK)
-            full = rank_batch(padded[idx[sl]], k) == k
-            for m in counts:
-                counts[m] += int((full & (subset_sizes[sl] == m)).sum())
-        return counts
-    for m in sizes:
+    for m in counts:
         for block in _comb_chunks(n, m):
             counts[m] += int((rank_batch(packed[block], k) == k).sum())
     return counts
+
+
+def _check_enumerable(G: BinaryMatrix, max_subsets: int) -> None:
+    """Argument checks shared by the exact and the sampled decoding vector."""
+    if G.rows > G.cols:
+        raise ValueError(f"generator must have k <= n, got {G.rows}x{G.cols}")
+    if max_subsets < 1:
+        raise ValueError(f"max_subsets must be >= 1, got {max_subsets}")
 
 
 def exact_vd(G: BinaryMatrix, max_subsets: int = EXACT_ENUMERATION_LIMIT) -> DecodingVector:
@@ -198,9 +170,8 @@ def exact_vd(G: BinaryMatrix, max_subsets: int = EXACT_ENUMERATION_LIMIT) -> Dec
     Raises if any C(n, k+i) exceeds ``max_subsets``; use :func:`sampled_vd`
     for those codes.
     """
+    _check_enumerable(G, max_subsets)
     k, n = G.rows, G.cols
-    if k > n:
-        raise ValueError(f"generator must have k <= n, got {k}x{n}")
     totals = [math.comb(n, m) for m in range(k, n + 1)]
     for m, t in zip(range(k, n + 1), totals):
         if t > max_subsets:
@@ -226,14 +197,13 @@ def sampled_vd(G: BinaryMatrix, samples_per_entry: int, rng,
     """
     if samples_per_entry < 1:
         raise ValueError(f"samples_per_entry must be >= 1, got {samples_per_entry}")
+    _check_enumerable(G, max_subsets)
     k, n = G.rows, G.cols
-    if k > n:
-        raise ValueError(f"generator must have k <= n, got {k}x{n}")
     gen = np.random.default_rng(rng)
     packed = G.packed_columns()
     entries = list(range(k, n + 1))
     exact_sizes = [m for m in entries if math.comb(n, m) <= max_subsets]
-    exact_counts = _count_full_rank(G, exact_sizes) if exact_sizes else {}
+    exact_counts = _count_full_rank(G, exact_sizes)
     rho = np.empty(len(entries))
     stderr = np.zeros(len(entries))
     samples = [0] * len(entries)

@@ -52,7 +52,9 @@ class SearchConfig:
 
     The objective is the channel success probability at ``reference_p``
     unless explicit per-entry ``weights`` are given, in which case the
-    score is the weighted sum of decoding-vector entries.
+    score is the weighted sum of decoding-vector entries.  ``samples`` is
+    None for exact decoding vectors, or the number of subsets
+    :func:`sampled_vd` draws per oversized entry.
     """
 
     n: int
@@ -64,8 +66,7 @@ class SearchConfig:
     max_climb_steps: int = 200
     stagnation_limit: int = 40
     master_seed: int = 0
-    vd_mode: str = "exact"
-    vd_samples: int = 10_000
+    samples: int | None = None
     max_subsets: int = EXACT_ENUMERATION_LIMIT
 
     def __post_init__(self):
@@ -83,8 +84,8 @@ class SearchConfig:
             raise ValueError(f"stagnation_limit must be >= 1, got {self.stagnation_limit}")
         if not 0.0 <= self.reference_p <= 1.0:
             raise ValueError(f"reference_p must be in [0, 1], got {self.reference_p}")
-        if self.vd_mode not in ("exact", "sampled"):
-            raise ValueError(f"vd_mode must be 'exact' or 'sampled', got {self.vd_mode!r}")
+        if self.samples is not None and self.samples < 1:
+            raise ValueError(f"samples must be >= 1 or None for exact, got {self.samples}")
         if self.weights is not None:
             object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
             if len(self.weights) != self.n - self.k + 1:
@@ -95,10 +96,10 @@ class SearchConfig:
 
 
 def _evaluate(G: BinaryMatrix, cfg: SearchConfig, rng) -> tuple[DecodingVector, float]:
-    if cfg.vd_mode == "exact":
+    if cfg.samples is None:
         vd = exact_vd(G, max_subsets=cfg.max_subsets)
     else:
-        vd = sampled_vd(G, cfg.vd_samples, rng, max_subsets=cfg.max_subsets)
+        vd = sampled_vd(G, cfg.samples, rng, max_subsets=cfg.max_subsets)
     if cfg.weights is not None:
         score = float(np.dot(cfg.weights, vd.rho))
     else:
@@ -124,8 +125,6 @@ def init_balanced(cfg: SearchConfig, rng) -> CodeCandidate:
     j+1 of the source rectangle, so the block inherits row and column sums
     k1 and is nonsingular by construction.
     """
-    if cfg.n < cfg.k + 1:
-        raise ValueError(f"need n >= k + 1, got n={cfg.n}, k={cfg.k}")
     gen = np.random.default_rng(rng)
     R = random_nonsingular_rectangle(cfg.k, cfg.k1, gen)
     a = np.zeros((cfg.k, cfg.n), dtype=np.uint8)

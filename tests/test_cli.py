@@ -66,6 +66,11 @@ class TestEval:
         assert code == 0
         assert ",sampled," in out
 
+    def test_rejects_zero_max_subsets(self, capsys):
+        code, _, err = run(capsys, "eval", GOLDEN, "--samples", "10", "--max-subsets", "0")
+        assert code == 2
+        assert "max_subsets" in err
+
     def test_custom_grid(self, capsys, tmp_path):
         sweep = tmp_path / "s.csv"
         code, _, _ = run(capsys, "eval", GOLDEN, "--out-vd", "/dev/null",
@@ -139,6 +144,23 @@ class TestSearch:
         assert main(argv + ["--threads", "3"]) == 0
         assert out_path.read_bytes() == first
         capsys.readouterr()
+
+    def test_sampled_rerun_byte_identical(self, capsys, tmp_path):
+        out_path = tmp_path / "family.txt"
+        argv = ["search", "--n", "8", "--k", "4", "--attempts", "2", "--samples", "200",
+                "--max-subsets", "20", "--seed", "4", "--out", str(out_path)]
+        assert main(argv) == 0
+        first = out_path.read_bytes()
+        assert main(argv) == 0
+        assert out_path.read_bytes() == first
+        assert b'"samples": 200' in first
+        capsys.readouterr()
+
+    def test_rejects_zero_samples(self, capsys):
+        code, _, err = run(capsys, "search", "--n", "10", "--k", "4", "--attempts", "1",
+                           "--samples", "0")
+        assert code == 2
+        assert "samples" in err
 
     def test_rejects_even_weight(self, capsys):
         code, _, err = run(capsys, "search", "--n", "10", "--k", "4", "--k1", "2",

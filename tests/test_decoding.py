@@ -1,11 +1,14 @@
+import itertools
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import xorcodes as xc
-from xorcodes.decoding import _loss_term
+from xorcodes.decoding import _count_full_rank, _loss_term
 
 # frozen by independent naive enumeration of the shipped [13,5] matrix
 COUNTS_13_5 = (792, 1536, 1680, 1284, 715, 286, 78, 13, 1)
@@ -71,12 +74,27 @@ class TestExactVd:
         with pytest.raises(ValueError, match=r"C\(30,1[0-9]\)"):
             xc.exact_vd(G, max_subsets=1000)
 
-    def test_streaming_path_matches_plan_path(self, g135):
-        # forcing chunked per-size enumeration must not change the counts
-        from xorcodes import decoding
-
-        counts = decoding._count_full_rank(g135, [5, 8, 13])
+    def test_partial_sizes_count_only_those_sizes(self, g135):
+        counts = _count_full_rank(g135, [5, 8, 13])
         assert counts == {5: 792, 8: 1284, 13: 1}
+
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(st.data())
+    def test_counts_match_brute_force(self, data):
+        k = data.draw(st.integers(1, 5), label="k")
+        n = data.draw(st.integers(k, 9), label="n")
+        bits = data.draw(st.lists(st.integers(0, 1), min_size=k * n, max_size=k * n),
+                         label="bits")
+        G = xc.BinaryMatrix(np.array(bits, dtype=np.uint8).reshape(k, n))
+        sizes = data.draw(st.sets(st.integers(k, n), min_size=1), label="sizes")
+        expected = {m: sum(xc.rank(xc.select_columns(G, c)) == k
+                           for c in itertools.combinations(range(n), m))
+                    for m in sizes}
+        assert _count_full_rank(G, sizes) == expected
+
+    def test_rejects_zero_max_subsets(self, g135):
+        with pytest.raises(ValueError, match="max_subsets"):
+            xc.exact_vd(g135, max_subsets=0)
 
     def test_monotone_counts(self, vd135):
         fracs = [Fraction(c, t) for c, t in zip(vd135.counts, vd135.totals)]
@@ -120,6 +138,10 @@ class TestSampledVd:
     def test_rejects_bad_sample_count(self, g135):
         with pytest.raises(ValueError, match="samples_per_entry"):
             xc.sampled_vd(g135, 0, 1)
+
+    def test_rejects_zero_max_subsets(self, g135):
+        with pytest.raises(ValueError, match="max_subsets"):
+            xc.sampled_vd(g135, 10, 0, max_subsets=0)
 
 
 class TestPSuccess:

@@ -16,7 +16,7 @@ class TestSearchConfig:
         cfg = xc.SearchConfig(n=13, k=5)
         assert cfg.k1 == 3
         assert cfg.reference_p == 0.1
-        assert cfg.vd_mode == "exact"
+        assert cfg.samples is None
 
     @pytest.mark.parametrize("kw,msg", [
         (dict(n=5, k=5), "n > k"),
@@ -27,7 +27,7 @@ class TestSearchConfig:
         (dict(n=10, k=4, max_climb_steps=-1), "max_climb_steps"),
         (dict(n=10, k=4, stagnation_limit=0), "stagnation_limit"),
         (dict(n=10, k=4, reference_p=1.5), "reference_p"),
-        (dict(n=10, k=4, vd_mode="other"), "vd_mode"),
+        (dict(n=10, k=4, samples=0), "samples"),
         (dict(n=10, k=4, weights=(1.0, 2.0)), "weights"),
     ])
     def test_validation_names_constraint(self, kw, msg):
