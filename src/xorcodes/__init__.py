@@ -4,99 +4,10 @@ constructions, and stochastic search for good generator matrices.
 
 __version__ = "0.1.0"
 
-from .decoding import (
-    EXACT_ENUMERATION_LIMIT,
-    ChannelPoint,
-    DecodingVector,
-    SimulationResult,
-    channel_sweep,
-    display_round,
-    exact_vd,
-    is_mds,
-    p_success,
-    rlnc_P,
-    rlnc_vd,
-    sampled_vd,
-    simulate_ps,
-    sweep_csv,
-    vd_csv,
-)
-from .gf2 import (
-    BinaryMatrix,
-    encode,
-    format_matrix,
-    is_nonsingular,
-    pack_columns,
-    parse_matrix,
-    rank,
-    rank_batch,
-    random_matrix,
-    select_columns,
-)
-from .latin import (
-    LatinRectangle,
-    LatinSquare,
-    format_rectangle,
-    incidence_matrix,
-    parse_rectangle,
-    random_balanced_nonsingular,
-    random_latin_square,
-    random_nonsingular_rectangle,
-    top_rectangle,
-)
-from .search import (
-    CodeCandidate,
-    SearchConfig,
-    climb,
-    dominates,
-    init_balanced,
-    init_random,
-    neighbor,
-    search_family,
-)
+from . import decoding, gf2, latin, search
+from .decoding import *  # noqa: F403
+from .gf2 import *  # noqa: F403
+from .latin import *  # noqa: F403
+from .search import *  # noqa: F403
 
-__all__ = [
-    "__version__",
-    "BinaryMatrix",
-    "encode",
-    "format_matrix",
-    "is_nonsingular",
-    "pack_columns",
-    "parse_matrix",
-    "rank",
-    "rank_batch",
-    "random_matrix",
-    "select_columns",
-    "LatinRectangle",
-    "LatinSquare",
-    "format_rectangle",
-    "incidence_matrix",
-    "parse_rectangle",
-    "random_balanced_nonsingular",
-    "random_latin_square",
-    "random_nonsingular_rectangle",
-    "top_rectangle",
-    "EXACT_ENUMERATION_LIMIT",
-    "ChannelPoint",
-    "DecodingVector",
-    "SimulationResult",
-    "channel_sweep",
-    "display_round",
-    "exact_vd",
-    "is_mds",
-    "p_success",
-    "rlnc_P",
-    "rlnc_vd",
-    "sampled_vd",
-    "simulate_ps",
-    "sweep_csv",
-    "vd_csv",
-    "CodeCandidate",
-    "SearchConfig",
-    "climb",
-    "dominates",
-    "init_balanced",
-    "init_random",
-    "neighbor",
-    "search_family",
-]
+__all__ = ["__version__", *gf2.__all__, *latin.__all__, *decoding.__all__, *search.__all__]

@@ -18,9 +18,9 @@ from pathlib import Path
 from . import __version__
 from .decoding import (
     EXACT_ENUMERATION_LIMIT,
-    _fmt,
     channel_sweep,
     exact_vd,
+    format_float,
     p_success,
     rlnc_vd,
     sampled_vd,
@@ -81,13 +81,7 @@ def _p_grid(p_min: float, p_max: float, p_step: float) -> list[float]:
 def _vd_for(G, samples, seed, max_subsets):
     if samples is not None:
         return sampled_vd(G, samples, seed, max_subsets=max_subsets)
-    try:
-        return exact_vd(G, max_subsets=max_subsets)
-    except ValueError as e:
-        if "enumeration limit" in str(e):
-            msg = str(e).replace("; use sampled_vd for this code", "")
-            raise _CliError(f"{msg}; rerun with --samples N to estimate")
-        raise
+    return exact_vd(G, max_subsets=max_subsets)
 
 
 def _cmd_eval(args) -> int:
@@ -163,12 +157,12 @@ def _cmd_search(args) -> int:
     head = _manifest_line("search", config, cfg.master_seed, [], [args.out])
     records = []
     for c in family:
-        vd_line = ",".join(_fmt(x) for x in c.vd.rho)
+        vd_line = ",".join(format_float(x) for x in c.vd.rho)
         records.append(format_matrix(c.G) + vd_line + "\n" + _provenance_line(c.provenance) + "\n")
     _emit(args.out, head + f"# candidates={len(family)}\n" + "\n".join(records))
     best = family[0]
-    print(f"best_score={_fmt(best.score)}")
-    print("best_vd=" + ",".join(_fmt(x) for x in best.vd.rho))
+    print(f"best_score={format_float(best.score)}")
+    print("best_vd=" + ",".join(format_float(x) for x in best.vd.rho))
     return 0
 
 
@@ -184,10 +178,10 @@ def _cmd_simulate(args) -> int:
     config = {"matrix": args.matrix, "p": args.p, "trials": args.trials,
               "samples": args.samples, "max_subsets": args.max_subsets}
     sys.stdout.write(_manifest_line("simulate", config, args.seed, [args.matrix], []))
-    print(f"estimate={_fmt(result.estimate)}")
-    print(f"stderr={_fmt(result.stderr)}")
-    print(f"analytic_ps={_fmt(analytic)}")
-    print(f"z={_fmt(z)}")
+    print(f"estimate={format_float(result.estimate)}")
+    print(f"stderr={format_float(result.stderr)}")
+    print(f"analytic_ps={format_float(analytic)}")
+    print(f"z={format_float(z)}")
     return 0
 
 
@@ -211,7 +205,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="estimate oversized entries from this many subsets")
     p_eval.add_argument("--seed", type=int, default=0, help="sampling seed")
     p_eval.add_argument("--max-subsets", type=int, default=EXACT_ENUMERATION_LIMIT,
-                        help="exact enumeration limit per entry")
+                        help="largest C(n, m) counted exactly")
     p_eval.add_argument("--out-vd", default="-", help="decoding vector CSV path (default stdout)")
     p_eval.add_argument("--out-sweep", default="-", help="sweep CSV path (default stdout)")
     _add_grid_flags(p_eval)
@@ -234,7 +228,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_search.add_argument("--stagnation-limit", type=int, default=40,
                           help="stop a climb after this many consecutive rejections")
     p_search.add_argument("--max-subsets", type=int, default=EXACT_ENUMERATION_LIMIT,
-                          help="exact enumeration limit per entry")
+                          help="largest C(n, m) counted exactly")
     p_search.add_argument("--threads", type=int, default=1, help="worker threads for restarts")
     p_search.add_argument("--out", default="-", help="family file path (default stdout)")
     p_search.set_defaults(func=_cmd_search)
@@ -256,7 +250,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--samples", type=int, default=None,
                        help="sampled analytic reference with this many subsets per entry")
     p_sim.add_argument("--max-subsets", type=int, default=EXACT_ENUMERATION_LIMIT,
-                       help="exact enumeration limit per entry")
+                       help="largest C(n, m) counted exactly")
     p_sim.set_defaults(func=_cmd_simulate)
     return parser
 

@@ -36,6 +36,7 @@ __all__ = [
     "simulate_ps",
     "vd_csv",
     "sweep_csv",
+    "format_float",
     "display_round",
 ]
 
@@ -177,7 +178,7 @@ def exact_vd(G: BinaryMatrix, max_subsets: int = EXACT_ENUMERATION_LIMIT) -> Dec
         if t > max_subsets:
             raise ValueError(
                 f"C({n},{m}) = {t} exceeds the enumeration limit {max_subsets}; "
-                f"use sampled_vd for this code"
+                "estimate it by sampling (sampled_vd, or --samples N)"
             )
     counts_by_size = _count_full_rank(G, range(k, n + 1))
     counts = [counts_by_size[m] for m in range(k, n + 1)]
@@ -297,8 +298,6 @@ def is_mds(vd: DecodingVector) -> bool:
     """True iff every entry equals 1 exactly; requires an exact-mode vector."""
     if vd.mode != "exact":
         raise ValueError("MDS predicate requires exact V_D")
-    if vd.counts is not None:
-        return all(c == t for c, t in zip(vd.counts, vd.totals))
     return bool((vd.rho == 1.0).all())
 
 
@@ -328,7 +327,7 @@ def simulate_ps(G: BinaryMatrix, p: float, trials: int, rng) -> SimulationResult
     return SimulationResult(p=p, estimate=est, stderr=se, trials=trials, successes=successes)
 
 
-def _fmt(x: float) -> str:
+def format_float(x: float) -> str:
     """Float with 9 significant digits; whole values keep a .0 marker."""
     s = format(float(x), ".9g")
     if "." not in s and "e" not in s and "E" not in s:
@@ -344,7 +343,7 @@ def vd_csv(vd: DecodingVector) -> str:
             mode, se = "exact", 0.0
         else:
             mode, se = "sampled", float(vd.stderr[i])
-        lines.append(f"{i},{_fmt(vd.rho[i])},{mode},{_fmt(se)}")
+        lines.append(f"{i},{format_float(vd.rho[i])},{mode},{format_float(se)}")
     return "\n".join(lines) + "\n"
 
 
@@ -352,7 +351,7 @@ def sweep_csv(points) -> str:
     """CSV rendering: header ``p,p_s,p_u``, one row per operating point."""
     lines = ["p,p_s,p_u"]
     for pt in points:
-        lines.append(f"{_fmt(pt.p)},{_fmt(pt.p_s)},{_fmt(pt.p_u)}")
+        lines.append(f"{format_float(pt.p)},{format_float(pt.p_s)},{format_float(pt.p_u)}")
     return "\n".join(lines) + "\n"
 
 

@@ -19,7 +19,7 @@ __all__ = [
     "is_nonsingular",
     "select_columns",
     "random_matrix",
-    "encode",
+    "pack_columns",
     "rank_batch",
     "parse_matrix",
     "format_matrix",
@@ -174,19 +174,6 @@ def random_matrix(rows: int, cols: int, rng) -> BinaryMatrix:
         raise ValueError(f"rows and cols must be >= 1, got {rows}x{cols}")
     gen = np.random.default_rng(rng)
     return BinaryMatrix(gen.integers(0, 2, size=(rows, cols), dtype=np.uint8))
-
-
-def encode(x, G: BinaryMatrix) -> np.ndarray:
-    """Encode a length-k bit vector: output bit j = XOR over rows selected by x.
-
-    Returns a length-n uint8 vector.
-    """
-    xv = np.asarray(x, dtype=np.uint8).ravel()
-    if xv.size != G.rows:
-        raise ValueError(f"length mismatch: input has {xv.size} bits, matrix has {G.rows} rows")
-    if not np.isin(xv, (0, 1)).all():
-        raise ValueError("input bits must be 0 or 1")
-    return (xv @ G.array) & np.uint8(1)
 
 
 def rank_batch(colsets: np.ndarray, k: int) -> np.ndarray:

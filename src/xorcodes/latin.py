@@ -70,38 +70,20 @@ class LatinRectangle:
         return f"LatinRectangle({self.height}x{self.width})"
 
 
-class LatinSquare:
-    """k x k array where every row and every column is a permutation of 1..k."""
+class LatinSquare(LatinRectangle):
+    """Latin rectangle of full height: every row and every column is a permutation of 1..k."""
 
-    __slots__ = ("_cells",)
+    __slots__ = ()
 
     def __init__(self, cells):
-        c = np.asarray(cells, dtype=np.int64)
+        c = np.asarray(cells)
         if c.ndim != 2 or c.shape[0] != c.shape[1]:
             raise ValueError("cells must be square")
-        k = c.shape[0]
-        full = frozenset(range(1, k + 1))
-        for i in range(k):
-            if frozenset(c[i].tolist()) != full:
-                raise ValueError(f"row {i + 1} is not a permutation of 1..{k}")
-            if frozenset(c[:, i].tolist()) != full:
-                raise ValueError(f"column {i + 1} is not a permutation of 1..{k}")
-        c = c.copy()
-        c.flags.writeable = False
-        self._cells = c
+        super().__init__(c)
 
     @property
     def order(self) -> int:
-        return self._cells.shape[0]
-
-    @property
-    def cells(self) -> np.ndarray:
-        return self._cells
-
-    def __eq__(self, other):
-        if not isinstance(other, LatinSquare):
-            return NotImplemented
-        return self.order == other.order and bool((self._cells == other._cells).all())
+        return self.width
 
     def __repr__(self) -> str:
         return f"LatinSquare(order={self.order})"
@@ -202,7 +184,7 @@ def random_balanced_nonsingular(k: int, k1: int, rng, max_tries: int = 1000) -> 
     return incidence_matrix(random_nonsingular_rectangle(k, k1, rng, max_tries))
 
 
-def format_rectangle(R: LatinRectangle | LatinSquare) -> str:
+def format_rectangle(R: LatinRectangle) -> str:
     """Serialize as "k1 k" followed by k1 space-separated symbol rows."""
     cells = R.cells
     lines = [f"{cells.shape[0]} {cells.shape[1]}"]

@@ -66,6 +66,16 @@ class TestEval:
         assert code == 0
         assert ",sampled," in out
 
+    def test_over_limit_message_is_the_library_one(self, capsys, tmp_path):
+        G = xc.random_matrix(20, 40, np.random.default_rng(0))
+        path = tmp_path / "big.txt"
+        path.write_text(xc.format_matrix(G))
+        with pytest.raises(ValueError) as exc:
+            xc.exact_vd(G)
+        code, _, err = run(capsys, "eval", str(path))
+        assert code == 2
+        assert err == f"error: {exc.value}\n"
+
     def test_rejects_zero_max_subsets(self, capsys):
         code, _, err = run(capsys, "eval", GOLDEN, "--samples", "10", "--max-subsets", "0")
         assert code == 2

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import xorcodes as xc
 from xorcodes.gf2 import pack_columns, rank_batch
@@ -152,27 +154,6 @@ class TestRandomMatrix:
             xc.random_matrix(0, 3, np.random.default_rng(0))
 
 
-class TestEncode:
-    def test_golden_codeword(self, g135):
-        got = xc.encode((1, 1, 0, 0, 0), g135)
-        assert got.tolist() == [1, 0, 1, 1, 1, 0, 0, 0, 1, 0, 0, 1, 1]
-
-    def test_zero_message(self, g135):
-        assert xc.encode([0] * 5, g135).sum() == 0
-
-    def test_single_row(self, g135):
-        got = xc.encode([0, 0, 1, 0, 0], g135)
-        assert (got == g135.array[2]).all()
-
-    def test_length_mismatch(self, g135):
-        with pytest.raises(ValueError, match="length mismatch"):
-            xc.encode([1, 0], g135)
-
-    def test_rejects_non_bits(self, g135):
-        with pytest.raises(ValueError):
-            xc.encode([1, 0, 2, 0, 0], g135)
-
-
 class TestRankBatch:
     @pytest.mark.parametrize("k,n", [(3, 6), (5, 13), (8, 8)])
     def test_matches_scalar_rank(self, k, n):
@@ -224,6 +205,16 @@ class TestMatrixText:
     def test_round_trip(self, seed):
         rng = np.random.default_rng(seed)
         M = xc.random_matrix(int(rng.integers(1, 9)), int(rng.integers(1, 20)), rng)
+        assert xc.parse_matrix(xc.format_matrix(M)) == M
+
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(st.data())
+    def test_round_trip_property(self, data):
+        k = data.draw(st.integers(1, 8), label="k")
+        n = data.draw(st.integers(1, 19), label="n")
+        bits = data.draw(st.lists(st.integers(0, 1), min_size=k * n, max_size=k * n),
+                         label="bits")
+        M = xc.BinaryMatrix(np.array(bits, dtype=np.uint8).reshape(k, n))
         assert xc.parse_matrix(xc.format_matrix(M)) == M
 
     def test_parse_golden_file(self, g135):

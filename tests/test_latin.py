@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import xorcodes as xc
 from conftest import EXAMPLE_SQUARE
@@ -30,6 +32,11 @@ class TestLatinSquare:
     def test_equality(self, square5):
         assert square5 == xc.LatinSquare(np.array(EXAMPLE_SQUARE))
         assert square5 != "something else"
+
+    def test_is_full_height_rectangle(self):
+        L = xc.random_latin_square(5, np.random.default_rng(0))
+        assert isinstance(L, xc.LatinRectangle)
+        assert xc.top_rectangle(L, L.order) == L
 
 
 class TestLatinRectangle:
@@ -176,6 +183,14 @@ class TestRectangleText:
         rng = np.random.default_rng(seed)
         k = int(rng.integers(2, 9))
         R = xc.top_rectangle(xc.random_latin_square(k, rng), int(rng.integers(1, k + 1)))
+        assert xc.parse_rectangle(xc.format_rectangle(R)) == R
+
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(st.data())
+    def test_round_trip_property(self, data):
+        k = data.draw(st.integers(1, 8), label="k")
+        L = xc.random_latin_square(k, data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        R = xc.top_rectangle(L, data.draw(st.integers(1, k), label="k1"))
         assert xc.parse_rectangle(xc.format_rectangle(R)) == R
 
     @pytest.mark.parametrize("text,lineno", [
