@@ -38,11 +38,17 @@ class _CliError(Exception):
     pass
 
 
-def _manifest_line(subcommand: str, config: dict, master_seed, inputs, outputs) -> str:
+# --seed is the manifest's master_seed and --out* its outputs; --threads never changes a result
+_NOT_CONFIG = {"seed", "threads", "func", "subcommand"}
+
+
+def _manifest_line(args, master_seed, inputs, outputs) -> str:
+    config = {key: value for key, value in vars(args).items()
+              if key not in _NOT_CONFIG and not key.startswith("out")}
     m = {
         "artifact": "xorcodes",
         "version": __version__,
-        "subcommand": subcommand,
+        "subcommand": args.subcommand,
         "config": config,
         "master_seed": master_seed,
         "inputs": list(inputs),
@@ -69,7 +75,7 @@ def _read_matrix(path: str):
 def _p_grid(p_min: float, p_max: float, p_step: float) -> list[float]:
     if not 0.0 <= p_min <= p_max <= 1.0:
         raise _CliError(f"need 0 <= p-min <= p-max <= 1, got {p_min}..{p_max}")
-    if p_step <= 0:
+    if not p_step > 0:
         raise _CliError(f"p-step must be positive, got {p_step}")
     count = int(round((p_max - p_min) / p_step)) + 1
     grid = [min(p_min + i * p_step, p_max) for i in range(count)]
@@ -84,42 +90,23 @@ def _vd_for(G, samples, seed, max_subsets):
     return exact_vd(G, max_subsets=max_subsets)
 
 
+def _emit_vd_and_sweep(args, vd, master_seed, inputs) -> int:
+    """Write the vector CSV and its channel sweep over the --p-* grid."""
+    sweep = channel_sweep(vd, _p_grid(args.p_min, args.p_max, args.p_step))
+    head = _manifest_line(args, master_seed, inputs, [args.out_vd, args.out_sweep])
+    _emit(args.out_vd, head + vd_csv(vd))
+    _emit(args.out_sweep, head + sweep_csv(sweep))
+    return 0
+
+
 def _cmd_eval(args) -> int:
     G = _read_matrix(args.matrix)
     vd = _vd_for(G, args.samples, args.seed, args.max_subsets)
-    grid = _p_grid(args.p_min, args.p_max, args.p_step)
-    sweep = channel_sweep(vd, grid)
-    config = {
-        "matrix": args.matrix,
-        "samples": args.samples,
-        "max_subsets": args.max_subsets,
-        "p_min": args.p_min,
-        "p_max": args.p_max,
-        "p_step": args.p_step,
-    }
-    head = _manifest_line("eval", config, args.seed if args.samples else None,
-                          [args.matrix], [args.out_vd, args.out_sweep])
-    _emit(args.out_vd, head + vd_csv(vd))
-    _emit(args.out_sweep, head + sweep_csv(sweep))
-    return 0
+    return _emit_vd_and_sweep(args, vd, args.seed if args.samples else None, [args.matrix])
 
 
 def _cmd_baseline(args) -> int:
-    vd = rlnc_vd(args.n, args.k, args.q)
-    grid = _p_grid(args.p_min, args.p_max, args.p_step)
-    sweep = channel_sweep(vd, grid)
-    config = {
-        "n": args.n,
-        "k": args.k,
-        "q": args.q,
-        "p_min": args.p_min,
-        "p_max": args.p_max,
-        "p_step": args.p_step,
-    }
-    head = _manifest_line("baseline", config, None, [], [args.out_vd, args.out_sweep])
-    _emit(args.out_vd, head + vd_csv(vd))
-    _emit(args.out_sweep, head + sweep_csv(sweep))
-    return 0
+    return _emit_vd_and_sweep(args, rlnc_vd(args.n, args.k, args.q), None, [])
 
 
 def _provenance_line(prov: dict) -> str:
@@ -142,19 +129,7 @@ def _cmd_search(args) -> int:
         max_subsets=args.max_subsets,
     )
     family = search_family(cfg, algorithm=args.algorithm, threads=args.threads)
-    config = {
-        "n": cfg.n,
-        "k": cfg.k,
-        "k1": cfg.k1,
-        "ref_p": cfg.reference_p,
-        "attempts": cfg.attempts,
-        "algorithm": args.algorithm,
-        "max_climb_steps": cfg.max_climb_steps,
-        "stagnation_limit": cfg.stagnation_limit,
-        "samples": args.samples,
-        "max_subsets": cfg.max_subsets,
-    }
-    head = _manifest_line("search", config, cfg.master_seed, [], [args.out])
+    head = _manifest_line(args, cfg.master_seed, [], [args.out])
     records = []
     for c in family:
         vd_line = ",".join(format_float(x) for x in c.vd.rho)
@@ -175,9 +150,7 @@ def _cmd_simulate(args) -> int:
         z = (result.estimate - analytic) / result.stderr
     else:
         z = 0.0 if result.estimate == analytic else float("inf")
-    config = {"matrix": args.matrix, "p": args.p, "trials": args.trials,
-              "samples": args.samples, "max_subsets": args.max_subsets}
-    sys.stdout.write(_manifest_line("simulate", config, args.seed, [args.matrix], []))
+    sys.stdout.write(_manifest_line(args, args.seed, [args.matrix], []))
     print(f"estimate={format_float(result.estimate)}")
     print(f"stderr={format_float(result.stderr)}")
     print(f"analytic_ps={format_float(analytic)}")

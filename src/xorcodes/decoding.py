@@ -44,23 +44,24 @@ __all__ = [
 EXACT_ENUMERATION_LIMIT = 2_000_000
 
 _CHUNK = 65_536
+_SAMPLE_CHUNK = 4096
 
 
 class DecodingVector:
     """Per-excess-packet decoding probabilities of one [n, k] code.
 
     ``rho[i]`` is the probability of decoding from k+i received columns,
-    for i in 0..n-k.  ``mode`` is "exact" (every entry an integer subset
-    count over a binomial, or an analytic closed form) or "sampled"
-    (entries estimated from uniform subsets, with per-entry standard
-    errors; entries cheap enough to enumerate are computed exactly and
-    flagged in ``exact_entries``).
+    for i in 0..n-k.  Counted entries keep ``rho[i] == counts[i] / totals[i]``:
+    an enumerated entry counts the full-rank (k+i)-subsets among all
+    C(n, k+i) and has ``samples[i] == 0``; a sampled entry counts them among
+    ``samples[i] == totals[i]`` uniform draws.  Only analytic vectors
+    (:func:`rlnc_vd`) have no counts; their samples are all 0.  ``mode``,
+    ``exact_entries`` and ``stderr`` are derived from ``samples`` and ``rho``.
     """
 
-    __slots__ = ("n", "k", "rho", "mode", "counts", "totals", "samples", "stderr", "exact_entries")
+    __slots__ = ("n", "k", "rho", "counts", "totals", "samples")
 
-    def __init__(self, n, k, rho, mode, counts=None, totals=None,
-                 samples=None, stderr=None, exact_entries=None):
+    def __init__(self, n, k, rho, counts=None, totals=None, samples=None):
         if not 1 <= k <= n:
             raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
         r = np.asarray(rho, dtype=np.float64).copy()
@@ -68,28 +69,40 @@ class DecodingVector:
             raise ValueError(f"rho must have n - k + 1 = {n - k + 1} entries, got {r.shape}")
         if (r < 0).any() or (r > 1).any():
             raise ValueError("rho entries must lie in [0, 1]")
-        if mode not in ("exact", "sampled"):
-            raise ValueError(f"mode must be 'exact' or 'sampled', got {mode!r}")
-        if mode == "sampled":
-            if samples is None or stderr is None or exact_entries is None:
-                raise ValueError("sampled vectors need samples, stderr and exact_entries")
-            stderr = np.asarray(stderr, dtype=np.float64).copy()
-            exact_entries = np.asarray(exact_entries, dtype=bool).copy()
-            if stderr.shape != r.shape or exact_entries.shape != r.shape:
-                raise ValueError("per-entry arrays must match rho length")
-            stderr.flags.writeable = False
-            exact_entries.flags.writeable = False
-            samples = tuple(int(s) for s in samples)
+        if (counts is None) != (totals is None):
+            raise ValueError("counts and totals must be given together")
+        if counts is not None:
+            counts = tuple(int(c) for c in counts)
+            totals = tuple(int(t) for t in totals)
+            if not len(counts) == len(totals) == len(r) or not all(
+                    t > 0 and c / t == x for c, t, x in zip(counts, totals, r.tolist())):
+                raise ValueError("counts and totals must give rho = counts / totals per entry")
+        samples = (0,) * len(r) if samples is None else tuple(int(s) for s in samples)
+        if len(samples) != len(r) or min(samples) < 0:
+            raise ValueError(f"samples must hold {len(r)} non-negative draw counts")
         r.flags.writeable = False
         self.n = n
         self.k = k
         self.rho = r
-        self.mode = mode
-        self.counts = None if counts is None else tuple(int(c) for c in counts)
-        self.totals = None if totals is None else tuple(int(t) for t in totals)
+        self.counts = counts
+        self.totals = totals
         self.samples = samples
-        self.stderr = stderr
-        self.exact_entries = exact_entries
+
+    @property
+    def mode(self) -> str:
+        """The label "sampled" if any entry was sampled, else "exact"."""
+        return "sampled" if any(self.samples) else "exact"
+
+    @property
+    def exact_entries(self) -> np.ndarray:
+        """Per-entry flag: True where nothing was sampled."""
+        return np.array(self.samples) == 0
+
+    @property
+    def stderr(self) -> np.ndarray:
+        """Per-entry standard error sqrt(rho (1 - rho) / samples); 0 where nothing was sampled."""
+        return np.array([math.sqrt(x * (1.0 - x) / s) if s else 0.0
+                         for x, s in zip(self.rho.tolist(), self.samples)])
 
     def __len__(self) -> int:
         return self.rho.shape[0]
@@ -156,12 +169,51 @@ def _count_full_rank(G: BinaryMatrix, sizes) -> dict[int, int]:
     return counts
 
 
-def _check_enumerable(G: BinaryMatrix, max_subsets: int) -> None:
-    """Argument checks shared by the exact and the sampled decoding vector."""
+def _sample_full_rank(packed: np.ndarray, k: int, m: int, samples: int, gen) -> int:
+    """Number of full-rank sets among ``samples`` uniform m-subsets of the columns."""
+    n = packed.shape[0]
+    hits = 0
+    for done in range(0, samples, _SAMPLE_CHUNK):
+        c = min(_SAMPLE_CHUNK, samples - done)
+        # uniform m-subsets: the m smallest of n iid uniforms
+        sel = np.argpartition(gen.random((c, n)), m, axis=1)[:, :m]
+        hits += int((rank_batch(packed[sel], k) == k).sum())
+    return hits
+
+
+def _counted_vd(G: BinaryMatrix, max_subsets: int, samples_per_entry=None,
+                gen=None) -> DecodingVector:
+    """Count every entry: enumerate it when C(n, m) <= ``max_subsets``, else sample it.
+
+    Without ``samples_per_entry`` an oversized entry is an error, raised
+    before any subset is ranked.
+    """
     if G.rows > G.cols:
         raise ValueError(f"generator must have k <= n, got {G.rows}x{G.cols}")
     if max_subsets < 1:
         raise ValueError(f"max_subsets must be >= 1, got {max_subsets}")
+    k, n = G.rows, G.cols
+    binomials = {m: math.comb(n, m) for m in range(k, n + 1)}
+    if samples_per_entry is None:
+        for m, t in binomials.items():
+            if t > max_subsets:
+                raise ValueError(
+                    f"C({n},{m}) = {t} exceeds the enumeration limit {max_subsets}; "
+                    "estimate it by sampling (sampled_vd, or --samples N)"
+                )
+    packed = G.packed_columns()
+    counts, totals, samples = [], [], []
+    for m, t in binomials.items():
+        if t <= max_subsets:
+            counts.append(_count_full_rank(G, [m])[m])
+            totals.append(t)
+            samples.append(0)
+        else:
+            counts.append(_sample_full_rank(packed, k, m, samples_per_entry, gen))
+            totals.append(samples_per_entry)
+            samples.append(samples_per_entry)
+    rho = [c / t for c, t in zip(counts, totals)]
+    return DecodingVector(n, k, rho, counts, totals, samples)
 
 
 def exact_vd(G: BinaryMatrix, max_subsets: int = EXACT_ENUMERATION_LIMIT) -> DecodingVector:
@@ -171,64 +223,22 @@ def exact_vd(G: BinaryMatrix, max_subsets: int = EXACT_ENUMERATION_LIMIT) -> Dec
     Raises if any C(n, k+i) exceeds ``max_subsets``; use :func:`sampled_vd`
     for those codes.
     """
-    _check_enumerable(G, max_subsets)
-    k, n = G.rows, G.cols
-    totals = [math.comb(n, m) for m in range(k, n + 1)]
-    for m, t in zip(range(k, n + 1), totals):
-        if t > max_subsets:
-            raise ValueError(
-                f"C({n},{m}) = {t} exceeds the enumeration limit {max_subsets}; "
-                "estimate it by sampling (sampled_vd, or --samples N)"
-            )
-    counts_by_size = _count_full_rank(G, range(k, n + 1))
-    counts = [counts_by_size[m] for m in range(k, n + 1)]
-    rho = np.array([c / t for c, t in zip(counts, totals)])
-    return DecodingVector(n, k, rho, "exact", counts=counts, totals=totals)
+    return _counted_vd(G, max_subsets)
 
 
 def sampled_vd(G: BinaryMatrix, samples_per_entry: int, rng,
                max_subsets: int = EXACT_ENUMERATION_LIMIT) -> DecodingVector:
     """Decoding vector with sampled entries where enumeration is infeasible.
 
-    Each oversized entry is estimated from ``samples_per_entry`` uniform
-    (k+i)-subsets, with standard error sqrt(rho (1 - rho) / samples).
+    Each oversized entry counts the full-rank sets among ``samples_per_entry``
+    uniform (k+i)-subsets, with standard error sqrt(rho (1 - rho) / samples).
     Entries with C(n, k+i) <= ``max_subsets`` are enumerated exactly
-    instead and flagged; their sample count is 0 and standard error 0.
-    Deterministic for a fixed seed.
+    instead; their sample count is 0 and standard error 0.  Deterministic
+    for a fixed seed.
     """
     if samples_per_entry < 1:
         raise ValueError(f"samples_per_entry must be >= 1, got {samples_per_entry}")
-    _check_enumerable(G, max_subsets)
-    k, n = G.rows, G.cols
-    gen = np.random.default_rng(rng)
-    packed = G.packed_columns()
-    entries = list(range(k, n + 1))
-    exact_sizes = [m for m in entries if math.comb(n, m) <= max_subsets]
-    exact_counts = _count_full_rank(G, exact_sizes)
-    rho = np.empty(len(entries))
-    stderr = np.zeros(len(entries))
-    samples = [0] * len(entries)
-    exact_flags = np.zeros(len(entries), dtype=bool)
-    sample_chunk = 4096
-    for i, m in enumerate(entries):
-        if m in exact_counts:
-            rho[i] = exact_counts[m] / math.comb(n, m)
-            exact_flags[i] = True
-            continue
-        hits = 0
-        done = 0
-        while done < samples_per_entry:
-            c = min(sample_chunk, samples_per_entry - done)
-            # uniform m-subsets: the m smallest of n iid uniforms
-            sel = np.argpartition(gen.random((c, n)), m, axis=1)[:, :m]
-            hits += int((rank_batch(packed[sel], k) == k).sum())
-            done += c
-        est = hits / samples_per_entry
-        rho[i] = est
-        stderr[i] = math.sqrt(est * (1.0 - est) / samples_per_entry)
-        samples[i] = samples_per_entry
-    return DecodingVector(n, k, rho, "sampled", samples=samples, stderr=stderr,
-                          exact_entries=exact_flags)
+    return _counted_vd(G, max_subsets, samples_per_entry, np.random.default_rng(rng))
 
 
 def _loss_term(n: int, i: int, p: float) -> float:
@@ -291,7 +301,7 @@ def rlnc_vd(n: int, k: int, q: int) -> DecodingVector:
     if n < k:
         raise ValueError(f"need n >= k, got n={n}, k={k}")
     rho = np.array([rlnc_P(k + i, k, q) for i in range(n - k + 1)])
-    return DecodingVector(n, k, rho, "exact")
+    return DecodingVector(n, k, rho)
 
 
 def is_mds(vd: DecodingVector) -> bool:
@@ -338,12 +348,8 @@ def format_float(x: float) -> str:
 def vd_csv(vd: DecodingVector) -> str:
     """CSV rendering: header ``i,rho,mode,stderr``, one row per entry."""
     lines = ["i,rho,mode,stderr"]
-    for i in range(len(vd)):
-        if vd.mode == "exact" or vd.exact_entries[i]:
-            mode, se = "exact", 0.0
-        else:
-            mode, se = "sampled", float(vd.stderr[i])
-        lines.append(f"{i},{format_float(vd.rho[i])},{mode},{format_float(se)}")
+    for i, (x, s, se) in enumerate(zip(vd.rho, vd.samples, vd.stderr)):
+        lines.append(f"{i},{format_float(x)},{'sampled' if s else 'exact'},{format_float(se)}")
     return "\n".join(lines) + "\n"
 
 

@@ -221,7 +221,7 @@ def parse_matrix(text: str) -> BinaryMatrix:
     if not lines:
         raise ValueError("line 1: empty input, expected header 'k n'")
     head = lines[0].split(" ")
-    if len(head) != 2 or not all(t.isdigit() for t in head):
+    if len(head) != 2 or not all(t.isascii() and t.isdigit() for t in head):
         raise ValueError(f"line 1: expected header 'k n', got {lines[0]!r}")
     k, n = int(head[0]), int(head[1])
     if k < 1 or n < 1:

@@ -201,7 +201,7 @@ def parse_rectangle(text: str) -> LatinRectangle:
     if not lines:
         raise ValueError("line 1: empty input, expected header 'k1 k'")
     head = lines[0].split(" ")
-    if len(head) != 2 or not all(t.isdigit() for t in head):
+    if len(head) != 2 or not all(t.isascii() and t.isdigit() for t in head):
         raise ValueError(f"line 1: expected header 'k1 k', got {lines[0]!r}")
     k1, k = int(head[0]), int(head[1])
     if len(lines) - 1 != k1:
@@ -209,7 +209,7 @@ def parse_rectangle(text: str) -> LatinRectangle:
     rows = []
     for i, line in enumerate(lines[1:]):
         toks = line.split(" ")
-        if len(toks) != k or not all(t.isdigit() for t in toks):
+        if len(toks) != k or not all(t.isascii() and t.isdigit() for t in toks):
             raise ValueError(f"line {i + 2}: expected {k} space-separated symbols, got {line!r}")
         rows.append([int(t) for t in toks])
     return LatinRectangle(rows)

@@ -50,18 +50,15 @@ class CodeCandidate:
 class SearchConfig:
     """Search parameters shared by every restart.
 
-    The objective is the channel success probability at ``reference_p``
-    unless explicit per-entry ``weights`` are given, in which case the
-    score is the weighted sum of decoding-vector entries.  ``samples`` is
-    None for exact decoding vectors, or the number of subsets
-    :func:`sampled_vd` draws per oversized entry.
+    The objective is the channel success probability at ``reference_p``.
+    ``samples`` is None for exact decoding vectors, or the number of
+    subsets :func:`sampled_vd` draws per oversized entry.
     """
 
     n: int
     k: int
     k1: int = 3
     reference_p: float = 0.1
-    weights: tuple[float, ...] | None = None
     attempts: int = 100
     max_climb_steps: int = 200
     stagnation_limit: int = 40
@@ -86,13 +83,6 @@ class SearchConfig:
             raise ValueError(f"reference_p must be in [0, 1], got {self.reference_p}")
         if self.samples is not None and self.samples < 1:
             raise ValueError(f"samples must be >= 1 or None for exact, got {self.samples}")
-        if self.weights is not None:
-            object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
-            if len(self.weights) != self.n - self.k + 1:
-                raise ValueError(
-                    f"weights must have n - k + 1 = {self.n - self.k + 1} entries, "
-                    f"got {len(self.weights)}"
-                )
 
 
 def _evaluate(G: BinaryMatrix, cfg: SearchConfig, rng) -> tuple[DecodingVector, float]:
@@ -100,11 +90,7 @@ def _evaluate(G: BinaryMatrix, cfg: SearchConfig, rng) -> tuple[DecodingVector, 
         vd = exact_vd(G, max_subsets=cfg.max_subsets)
     else:
         vd = sampled_vd(G, cfg.samples, rng, max_subsets=cfg.max_subsets)
-    if cfg.weights is not None:
-        score = float(np.dot(cfg.weights, vd.rho))
-    else:
-        score = p_success(vd, cfg.reference_p).p_s
-    return vd, score
+    return vd, p_success(vd, cfg.reference_p).p_s
 
 
 def init_random(cfg: SearchConfig, rng) -> CodeCandidate:
@@ -213,8 +199,7 @@ def _check_structured(c: CodeCandidate, cfg: SearchConfig) -> None:
 
 
 def _rho_dominates(a: DecodingVector, b: DecodingVector) -> bool:
-    if a.counts is not None and b.counts is not None and a.totals == b.totals:
-        return all(ca >= cb for ca, cb in zip(a.counts, b.counts))
+    # over one total, c / t orders exactly like the count c: totals stay far below 2^52
     return bool((a.rho >= b.rho).all())
 
 

@@ -150,8 +150,8 @@ def test_c5_monotonicity_suite(g135, vd135):
         lower = np.sort(rng.uniform(0, 1, n - k + 1))
         shrink = float(rng.uniform(0, 1))
         upper = 1.0 - (1.0 - lower) * shrink
-        b = xc.DecodingVector(n, k, lower, "exact")
-        a = xc.DecodingVector(n, k, upper, "exact")
+        b = xc.DecodingVector(n, k, lower)
+        a = xc.DecodingVector(n, k, upper)
         assert xc.dominates(a, b)
         for p in grid:
             if xc.p_success(a, p).p_s < xc.p_success(b, p).p_s - 1e-12:

@@ -1,8 +1,10 @@
+import argparse
+
 import numpy as np
 import pytest
 
 import xorcodes as xc
-from xorcodes.cli import main
+from xorcodes.cli import _build_parser, main
 from conftest import TESTDATA
 
 GOLDEN = str(TESTDATA / "g_13_5.txt")
@@ -91,8 +93,9 @@ class TestEval:
         assert [row.split(",")[0] for row in data[1:]] == ["0.1", "0.2", "0.3"]
 
     def test_rejects_bad_grid(self, capsys):
-        code, _, err = run(capsys, "eval", GOLDEN, "--p-step", "-0.1")
-        assert code == 2 and "p-step" in err
+        for step in ("-0.1", "nan"):
+            code, _, err = run(capsys, "eval", GOLDEN, "--p-step", step)
+            assert code == 2 and "p-step" in err
 
 
 class TestBaseline:
@@ -238,6 +241,24 @@ class TestManifest:
         assert m["subcommand"] == "eval"
         assert m["version"] == xc.__version__
         assert m["inputs"] == [GOLDEN]
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", GOLDEN, "--out-sweep", "/dev/null"],
+        ["baseline", "--n", "6", "--k", "3", "--out-sweep", "/dev/null"],
+        ["search", "--n", "5", "--k", "3", "--k1", "1", "--attempts", "1",
+         "--max-climb-steps", "1"],
+        ["simulate", GOLDEN, "--p", "0.1", "--trials", "10"],
+    ], ids=lambda argv: argv[0])
+    def test_config_holds_every_flag(self, capsys, argv):
+        import json
+
+        subs = next(a for a in _build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction))
+        flags = {a.dest for a in subs.choices[argv[0]]._actions
+                 if a.dest not in ("help", "seed", "threads") and not a.dest.startswith("out")}
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert set(json.loads(out.splitlines()[0][2:])["config"]) == flags
 
     def test_eval_rerun_identical(self, capsys, tmp_path):
         vd_path = tmp_path / "vd.csv"

@@ -20,27 +20,42 @@ PS_13_5_AT_01 = 0.9999568878273
 class TestDecodingVector:
     def test_rejects_wrong_length(self):
         with pytest.raises(ValueError, match="entries"):
-            xc.DecodingVector(5, 3, [1.0, 1.0], "exact")
+            xc.DecodingVector(5, 3, [1.0, 1.0])
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
-            xc.DecodingVector(5, 4, [0.5, 1.5], "exact")
+            xc.DecodingVector(5, 4, [0.5, 1.5])
 
-    def test_rejects_bad_mode(self):
-        with pytest.raises(ValueError, match="mode"):
-            xc.DecodingVector(5, 4, [0.5, 1.0], "guessed")
+    def test_rejects_malformed_samples(self):
+        with pytest.raises(ValueError, match="samples"):
+            xc.DecodingVector(5, 4, [0.5, 1.0], samples=[0])
+        with pytest.raises(ValueError, match="samples"):
+            xc.DecodingVector(5, 4, [0.5, 1.0], samples=[4, -1])
 
-    def test_sampled_requires_per_entry_arrays(self):
-        with pytest.raises(ValueError, match="sampled"):
-            xc.DecodingVector(5, 4, [0.5, 1.0], "sampled")
+    def test_rejects_counts_that_disagree_with_rho(self):
+        with pytest.raises(ValueError, match="counts / totals"):
+            xc.DecodingVector(5, 4, [0.5, 1.0], counts=[1, 2], totals=[3, 2])
+        with pytest.raises(ValueError, match="together"):
+            xc.DecodingVector(5, 4, [0.5, 1.0], counts=[1, 2])
+
+    def test_derived_fields(self):
+        vd = xc.DecodingVector(5, 4, [0.25, 1.0], counts=[1, 5], totals=[4, 5],
+                               samples=[4, 0])
+        assert vd.mode == "sampled"
+        assert vd.exact_entries.tolist() == [False, True]
+        assert vd.stderr.tolist() == [math.sqrt(0.25 * 0.75 / 4), 0.0]
+        plain = xc.DecodingVector(5, 4, [0.5, 1.0])
+        assert plain.mode == "exact"
+        assert plain.samples == (0, 0)
+        assert plain.stderr.tolist() == [0.0, 0.0]
 
     def test_rho_is_readonly(self):
-        vd = xc.DecodingVector(5, 4, [0.5, 1.0], "exact")
+        vd = xc.DecodingVector(5, 4, [0.5, 1.0])
         with pytest.raises(ValueError):
             vd.rho[0] = 0.0
 
     def test_sequence_protocol(self):
-        vd = xc.DecodingVector(5, 4, [0.5, 1.0], "exact")
+        vd = xc.DecodingVector(5, 4, [0.5, 1.0])
         assert len(vd) == 2
         assert vd[1] == 1.0
 
@@ -129,6 +144,32 @@ class TestSampledVd:
         for i, est in enumerate(vd.rho):
             if not vd.exact_entries[i]:
                 assert vd.stderr[i] == pytest.approx(math.sqrt(est * (1 - est) / 250))
+
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(st.data())
+    def test_counted_record_property(self, data):
+        k = data.draw(st.integers(1, 5), label="k")
+        n = data.draw(st.integers(k, 9), label="n")
+        bits = data.draw(st.lists(st.integers(0, 1), min_size=k * n, max_size=k * n),
+                         label="bits")
+        G = xc.BinaryMatrix(np.array(bits, dtype=np.uint8).reshape(k, n))
+        max_subsets = data.draw(st.integers(1, 130), label="max_subsets")
+        samples = data.draw(st.integers(1, 60), label="samples")
+        vd = xc.sampled_vd(G, samples, data.draw(st.integers(0, 2**32 - 1), label="seed"),
+                           max_subsets=max_subsets)
+        exact = xc.exact_vd(G)
+        sampled = [math.comb(n, m) > max_subsets for m in range(k, n + 1)]
+        for i, is_sampled in enumerate(sampled):
+            if is_sampled:
+                assert vd.samples[i] == vd.totals[i] == samples
+                assert 0 <= vd.counts[i] <= samples
+            else:
+                assert vd.samples[i] == 0
+                assert (vd.counts[i], vd.totals[i]) == (exact.counts[i], exact.totals[i])
+        assert vd.rho.tolist() == [c / t for c, t in zip(vd.counts, vd.totals)]
+        assert vd.stderr.tolist() == pytest.approx(
+            [math.sqrt(x * (1 - x) / samples) if s else 0.0 for x, s in zip(vd.rho, sampled)])
+        assert (vd.mode == "exact") == (not any(sampled))
 
     def test_all_exact_when_threshold_high(self, g135, vd135):
         vd = xc.sampled_vd(g135, 10, 0)
@@ -256,7 +297,7 @@ class TestIsMds:
             xc.is_mds(vd)
 
     def test_analytic_vector_without_counts(self):
-        ones = xc.DecodingVector(6, 5, [1.0, 1.0], "exact")
+        ones = xc.DecodingVector(6, 5, [1.0, 1.0])
         assert xc.is_mds(ones)
         assert not xc.is_mds(xc.rlnc_vd(6, 5, 2))
 
@@ -312,7 +353,7 @@ class TestCsvRendering:
         assert lines[2].startswith("0.5,")
 
     def test_whole_values_keep_decimal_point(self):
-        ones = xc.DecodingVector(6, 5, [1.0, 1.0], "exact")
+        ones = xc.DecodingVector(6, 5, [1.0, 1.0])
         body = xc.vd_csv(ones)
         assert "1.0,exact" in body
         assert "\n1,exact" not in body

@@ -233,3 +233,7 @@ class TestMatrixText:
     def test_parse_errors_name_line(self, text, lineno):
         with pytest.raises(ValueError, match=f"line {lineno}"):
             xc.parse_matrix(text)
+
+    def test_header_takes_ascii_digits_only(self):
+        with pytest.raises(ValueError, match="line 1: expected header"):
+            xc.parse_matrix("\u00b2 3\n101\n011\n")

@@ -203,3 +203,9 @@ class TestRectangleText:
     def test_parse_errors_name_line(self, text, lineno):
         with pytest.raises(ValueError, match=f"line {lineno}"):
             xc.parse_rectangle(text)
+
+    def test_numbers_take_ascii_digits_only(self):
+        with pytest.raises(ValueError, match="line 1: expected header"):
+            xc.parse_rectangle("1 \u00b3\n1 2 3\n")
+        with pytest.raises(ValueError, match="line 2: expected 3"):
+            xc.parse_rectangle("1 3\n1 \u00b2 3\n")

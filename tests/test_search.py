@@ -28,7 +28,6 @@ class TestSearchConfig:
         (dict(n=10, k=4, stagnation_limit=0), "stagnation_limit"),
         (dict(n=10, k=4, reference_p=1.5), "reference_p"),
         (dict(n=10, k=4, samples=0), "samples"),
-        (dict(n=10, k=4, weights=(1.0, 2.0)), "weights"),
     ])
     def test_validation_names_constraint(self, kw, msg):
         with pytest.raises(ValueError, match=msg):
@@ -47,12 +46,6 @@ class TestInitRandom:
         cfg = small_cfg()
         c = xc.init_random(cfg, np.random.default_rng(3))
         assert c.score == xc.p_success(c.vd, cfg.reference_p).p_s
-
-    def test_weighted_score(self):
-        w = tuple(float(i) for i in range(7))
-        cfg = small_cfg(weights=w)
-        c = xc.init_random(cfg, np.random.default_rng(3))
-        assert c.score == pytest.approx(float(np.dot(w, c.vd.rho)))
 
     def test_deterministic(self):
         cfg = small_cfg()
@@ -180,14 +173,14 @@ class TestDominates:
         assert xc.dominates(vd135, vd135)
 
     def test_simple_order(self):
-        a = xc.DecodingVector(6, 5, [1.0, 1.0], "exact")
-        b = xc.DecodingVector(6, 5, [0.9, 1.0], "exact")
+        a = xc.DecodingVector(6, 5, [1.0, 1.0])
+        b = xc.DecodingVector(6, 5, [0.9, 1.0])
         assert xc.dominates(a, b)
         assert not xc.dominates(b, a)
 
     def test_incomparable_pair(self):
-        a = xc.DecodingVector(7, 5, [0.2, 0.9, 1.0], "exact")
-        b = xc.DecodingVector(7, 5, [0.3, 0.8, 1.0], "exact")
+        a = xc.DecodingVector(7, 5, [0.2, 0.9, 1.0])
+        b = xc.DecodingVector(7, 5, [0.3, 0.8, 1.0])
         assert not xc.dominates(a, b)
         assert not xc.dominates(b, a)
 
