@@ -5,9 +5,13 @@ entry i is the probability that a uniformly random set of k+i received
 columns has full rank k, i.e. that the k source packets are recoverable
 from k+i survivors.  Entries are computed exactly (integer subset counts)
 when the binomials involved are small enough, and estimated by uniform
-subset sampling otherwise.  On top of that sit the erasure-channel success
-probability, the analytic random-linear-code baseline, the MDS predicate,
-and a Monte Carlo channel simulator used as an empirical cross-check.
+subset sampling otherwise.  A full-rank high-rate code (0 < n - k < k) is
+counted on its dual: a column set spans F_2^k exactly when the other
+columns of the parity-check matrix are independent, so every rank is
+taken over n - k rows instead of k.  On top of that sit the
+erasure-channel success probability, the analytic random-linear-code
+baseline, the MDS predicate, and a Monte Carlo channel simulator used as
+an empirical cross-check.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from decimal import ROUND_HALF_UP, Decimal
 
 import numpy as np
 
-from .gf2 import BinaryMatrix, rank_batch
+from .gf2 import BinaryMatrix, parity_check, rank_batch
 
 __all__ = [
     "DecodingVector",
@@ -149,6 +153,9 @@ class SimulationResult:
 
 def _comb_chunks(n: int, m: int, chunk: int = _CHUNK):
     """Yield (rows, m) index arrays covering all m-subsets of range(n) in order."""
+    if m == 0:  # the one empty subset; reshape cannot size zero-width rows
+        yield np.zeros((1, 0), dtype=np.int32)
+        return
     it = itertools.combinations(range(n), m)
     while True:
         block = np.fromiter(itertools.chain.from_iterable(itertools.islice(it, chunk)),
@@ -158,26 +165,51 @@ def _comb_chunks(n: int, m: int, chunk: int = _CHUNK):
         yield block
 
 
-def _count_full_rank(G: BinaryMatrix, sizes) -> dict[int, int]:
-    """Exact number of full-rank column subsets of each requested size."""
-    k, n = G.rows, G.cols
-    packed = G.packed_columns()
+def _rank_space(G: BinaryMatrix) -> tuple[np.ndarray, int, bool]:
+    """Packed columns to rank column sets on, their row count, and whether they are the dual's.
+
+    A column set S of a rank-k G spans F_2^k exactly when the complementary
+    columns of its parity-check matrix H are independent (matroid duality).
+    When 0 < n - k < k and G has rank k, sets are ranked on H's n - k rows;
+    otherwise on G itself.
+    """
+    k, n = G.shape
+    if 0 < n - k < k:
+        H = parity_check(G)
+        if H.rows == n - k:
+            return H.packed_columns(), n - k, True
+    return G.packed_columns(), k, False
+
+
+def _count_full_rank(space, sizes) -> dict[int, int]:
+    """Exact number of full-rank column subsets of each requested size.
+
+    ``space`` is :func:`_rank_space` of the generator; on the dual, an
+    m-subset is full rank when its complementary (n - m)-subset is independent.
+    """
+    packed, rows, dual = space
+    n = packed.shape[0]
     counts = dict.fromkeys(sizes, 0)
     for m in counts:
-        for block in _comb_chunks(n, m):
-            counts[m] += int((rank_batch(packed[block], k) == k).sum())
+        j = n - m if dual else m
+        full = j if dual else rows
+        for block in _comb_chunks(n, j):
+            counts[m] += int((rank_batch(packed[block], rows) == full).sum())
     return counts
 
 
-def _sample_full_rank(packed: np.ndarray, k: int, m: int, samples: int, gen) -> int:
+def _sample_full_rank(space, m: int, samples: int, gen) -> int:
     """Number of full-rank sets among ``samples`` uniform m-subsets of the columns."""
+    packed, rows, dual = space
     n = packed.shape[0]
+    full = n - m if dual else rows
     hits = 0
     for done in range(0, samples, _SAMPLE_CHUNK):
         c = min(_SAMPLE_CHUNK, samples - done)
-        # uniform m-subsets: the m smallest of n iid uniforms
-        sel = np.argpartition(gen.random((c, n)), m, axis=1)[:, :m]
-        hits += int((rank_batch(packed[sel], k) == k).sum())
+        # uniform m-subsets: the m smallest of n iid uniforms; the dual ranks the rest
+        order = np.argpartition(gen.random((c, n)), m, axis=1)
+        sel = order[:, m:] if dual else order[:, :m]
+        hits += int((rank_batch(packed[sel], rows) == full).sum())
     return hits
 
 
@@ -201,15 +233,15 @@ def _counted_vd(G: BinaryMatrix, max_subsets: int, samples_per_entry=None,
                     f"C({n},{m}) = {t} exceeds the enumeration limit {max_subsets}; "
                     "estimate it by sampling (sampled_vd, or --samples N)"
                 )
-    packed = G.packed_columns()
+    space = _rank_space(G)
     counts, totals, samples = [], [], []
     for m, t in binomials.items():
         if t <= max_subsets:
-            counts.append(_count_full_rank(G, [m])[m])
+            counts.append(_count_full_rank(space, [m])[m])
             totals.append(t)
             samples.append(0)
         else:
-            counts.append(_sample_full_rank(packed, k, m, samples_per_entry, gen))
+            counts.append(_sample_full_rank(space, m, samples_per_entry, gen))
             totals.append(samples_per_entry)
             samples.append(samples_per_entry)
     rho = [c / t for c, t in zip(counts, totals)]
@@ -315,22 +347,25 @@ def simulate_ps(G: BinaryMatrix, p: float, trials: int, rng) -> SimulationResult
     """Monte Carlo channel experiment: erase columns iid, test full rank.
 
     Runs ``trials`` independent experiments; success means the surviving
-    columns still span all k rows.  Deterministic for a fixed seed.
+    columns still span all k rows (on the dual: the erased columns of the
+    parity-check matrix are independent).  Deterministic for a fixed seed.
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"erasure probability must be in [0, 1], got {p}")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     gen = np.random.default_rng(rng)
-    k, n = G.rows, G.cols
-    packed = G.packed_columns()
+    n = G.cols
+    packed, rows, dual = _rank_space(G)
     successes = 0
     done = 0
     while done < trials:
         c = min(_CHUNK, trials - done)
         keep = gen.random((c, n)) >= p
-        sets = keep.astype(np.uint64)[:, :, None] * packed[None, :, :]
-        successes += int((rank_batch(sets, k) == k).sum())
+        ranked = ~keep if dual else keep
+        full = ranked.sum(axis=1) if dual else rows
+        sets = np.where(ranked[:, :, None], packed, 0)
+        successes += int((rank_batch(sets, rows) == full).sum())
         done += c
     est = successes / trials
     se = math.sqrt(est * (1.0 - est) / trials)

@@ -4,7 +4,9 @@ The :class:`BinaryMatrix` value type stores a dense 0/1 array and lazily
 maintains a column-major bit-packed mirror (uint64 limbs, one bit per row)
 for the batch rank kernel.  Single-matrix rank runs Gaussian elimination
 on rows packed into Python integers, so row XOR is word-wide regardless
-of width.  All operations are pure; matrices are immutable once built.
+of width.  :func:`parity_check` gives a basis of the null space, whose
+columns decide the rank of a high-rate code's column sets by duality.
+All operations are pure; matrices are immutable once built.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ __all__ = [
     "BinaryMatrix",
     "rank",
     "is_nonsingular",
+    "parity_check",
     "select_columns",
     "random_matrix",
     "pack_columns",
@@ -24,6 +27,10 @@ __all__ = [
     "parse_matrix",
     "format_matrix",
 ]
+
+# Input bytes rank_batch eliminates at a time: big enough to amortise the
+# per-bit numpy calls, small enough that the working copy stays in cache.
+_BLOCK_BYTES = 1 << 18
 
 
 class BinaryMatrix:
@@ -145,6 +152,35 @@ def is_nonsingular(M: BinaryMatrix) -> bool:
     return rank(M) == M.rows
 
 
+def parity_check(M: BinaryMatrix) -> BinaryMatrix:
+    """Parity-check matrix: n - rank(M) independent rows spanning M's null space.
+
+    Every row h satisfies M h = 0 over GF(2), so M Hᵀ = 0.  Raises
+    ValueError when M has full column rank, whose null space is {0}.
+    """
+    a = M.to_array()
+    pivots: list[int] = []
+    for c in range(M.cols):
+        r = len(pivots)
+        if r == M.rows:
+            break
+        below = np.flatnonzero(a[r:, c])
+        if not below.size:
+            continue
+        a[[r, r + below[0]]] = a[[r + below[0], r]]
+        hit = np.flatnonzero(a[:, c])
+        a[hit[hit != r]] ^= a[r]
+        pivots.append(c)
+    free = np.setdiff1d(np.arange(M.cols), pivots)
+    if not free.size:
+        raise ValueError(f"a {M.rows}x{M.cols} matrix of full column rank has no parity-check matrix")
+    # reduced row echelon form: free column f gives h[f] = 1, h[pivots[i]] = a[i, f]
+    H = np.zeros((free.size, M.cols), dtype=np.uint8)
+    H[:, free] = np.eye(free.size, dtype=np.uint8)
+    H[:, pivots] = a[:len(pivots), free].T
+    return BinaryMatrix(H)
+
+
 def select_columns(M: BinaryMatrix, indices: Sequence[int]) -> BinaryMatrix:
     """Copy the chosen columns, in order, into a new matrix.
 
@@ -182,26 +218,31 @@ def rank_batch(colsets: np.ndarray, k: int) -> np.ndarray:
     ``colsets`` has shape (N, m, limbs): N independent collections of m
     bit-packed columns over a k-row space (limbs = ceil(k/64), bit j of
     limb j // 64 = row j).  Zero columns are ignored, so collections of
-    different sizes can share one padded array.
+    different sizes can share one padded array; an empty collection has
+    rank 0.
 
     Elimination sweeps bit positions 0..k-1; at each position the first
     column holding the bit is XORed into every column holding it (itself
-    included, which retires it).  Returns an (N,) int64 rank vector.
+    included, which retires it).  Collections are copied and eliminated
+    one block of about ``_BLOCK_BYTES`` at a time.  Returns an (N,) int64
+    rank vector.
     """
-    A = colsets.astype(np.uint64, copy=True)
-    if A.ndim != 3:
+    if colsets.ndim != 3:
         raise ValueError(f"expected (N, m, limbs) array, got shape {colsets.shape}")
-    N = A.shape[0]
+    N, m, limbs = colsets.shape
     ranks = np.zeros(N, dtype=np.int64)
-    sel = np.arange(N)
-    one = np.uint64(1)
-    for b in range(k):
-        bits = (A[:, :, b // 64] >> np.uint64(b % 64)) & one
-        has = bits.any(axis=1)
-        pidx = bits.argmax(axis=1)
-        pivot = A[sel, pidx, :]
-        A ^= bits[:, :, None] * pivot[:, None, :]
-        ranks += has
+    if not colsets.size:
+        return ranks
+    step = max(1, _BLOCK_BYTES // (m * limbs * 8))
+    for start in range(0, N, step):
+        A = colsets[start:start + step].astype(np.uint64)
+        block_ranks = ranks[start:start + step]
+        sel = np.arange(A.shape[0])
+        for b in range(k):
+            bits = (A[:, :, b // 64] & np.uint64(1 << (b % 64))) != 0
+            pivot = A[sel, bits.argmax(axis=1)]
+            A ^= bits[:, :, None] * pivot[:, None, :]
+            block_ranks += bits.any(axis=1)
     return ranks
 
 

@@ -4,17 +4,41 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import xorcodes as xc
-from xorcodes.decoding import _count_full_rank, _loss_term
+from xorcodes.decoding import _comb_chunks, _count_full_rank, _loss_term, _rank_space
 
 # frozen by independent naive enumeration of the shipped [13,5] matrix
 COUNTS_13_5 = (792, 1536, 1680, 1284, 715, 286, 78, 13, 1)
 TOTALS_13_5 = (1287, 1716, 1716, 1287, 715, 286, 78, 13, 1)
 ROUNDED_13_5 = (0.615, 0.895, 0.979, 0.998, 1.0, 1.0, 1.0, 1.0, 1.0)
 PS_13_5_AT_01 = 0.9999568878273
+
+
+@st.composite
+def high_rate_codes(draw):
+    """k x n generators with 0 < n - k < k, rank-deficient ones included."""
+    k = draw(st.integers(2, 6), label="k")
+    n = draw(st.integers(k + 1, min(2 * k - 1, 10)), label="n")
+    r = draw(st.integers(1, k), label="r")  # rows r..k-1 are zero when r < k
+    cols = draw(st.lists(st.integers(0, 2**r - 1), min_size=n, max_size=n), label="cols")
+    return xc.BinaryMatrix([[c >> i & 1 for c in cols] for i in range(k)])
+
+
+def brute_force_counts(G, sizes):
+    """Full-rank m-subsets of G's columns by python-int rank, one subset at a time."""
+    return {m: sum(xc.rank(xc.select_columns(G, c)) == G.rows
+                   for c in itertools.combinations(range(G.cols), m))
+            for m in sizes}
+
+
+def high_rate_96():
+    """A full-rank [9,6] code, which is counted on its dual."""
+    G = xc.random_matrix(6, 9, np.random.default_rng(1))
+    assert xc.rank(G) == 6 and _rank_space(G)[2]
+    return G
 
 
 class TestDecodingVector:
@@ -90,7 +114,7 @@ class TestExactVd:
             xc.exact_vd(G, max_subsets=1000)
 
     def test_partial_sizes_count_only_those_sizes(self, g135):
-        counts = _count_full_rank(g135, [5, 8, 13])
+        counts = _count_full_rank(_rank_space(g135), [5, 8, 13])
         assert counts == {5: 792, 8: 1284, 13: 1}
 
     @settings(max_examples=40, derandomize=True, deadline=None)
@@ -102,10 +126,21 @@ class TestExactVd:
                          label="bits")
         G = xc.BinaryMatrix(np.array(bits, dtype=np.uint8).reshape(k, n))
         sizes = data.draw(st.sets(st.integers(k, n), min_size=1), label="sizes")
-        expected = {m: sum(xc.rank(xc.select_columns(G, c)) == k
-                           for c in itertools.combinations(range(n), m))
-                    for m in sizes}
-        assert _count_full_rank(G, sizes) == expected
+        assert _count_full_rank(_rank_space(G), sizes) == brute_force_counts(G, sizes)
+
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(high_rate_codes())
+    # a full-rank code with a repeated column (0 and 4) and a zero column (5)
+    @example(xc.BinaryMatrix([[1, 0, 0, 0, 1, 0, 1], [0, 1, 0, 0, 0, 0, 1],
+                              [0, 0, 1, 0, 0, 0, 0], [0, 0, 0, 1, 0, 0, 0]]))
+    @example(xc.BinaryMatrix([[1, 0, 1, 1, 0], [0, 1, 0, 1, 0], [0, 0, 0, 0, 0]]))
+    def test_high_rate_counts_match_brute_force(self, G):
+        k, n = G.shape
+        assert _rank_space(G)[2] == (xc.rank(G) == k)
+        assert xc.exact_vd(G).counts == tuple(brute_force_counts(G, range(k, n + 1)).values())
+
+    def test_comb_chunks_yield_the_empty_subset(self):
+        assert [b.shape for b in _comb_chunks(5, 0)] == [(1, 0)]
 
     def test_rejects_zero_max_subsets(self, g135):
         with pytest.raises(ValueError, match="max_subsets"):
@@ -170,6 +205,17 @@ class TestSampledVd:
         assert vd.stderr.tolist() == pytest.approx(
             [math.sqrt(x * (1 - x) / samples) if s else 0.0 for x, s in zip(vd.rho, sampled)])
         assert (vd.mode == "exact") == (not any(sampled))
+
+    def test_draws_recount_on_the_generator(self):
+        # regenerate each sampled entry's draws and rank them on G itself
+        G = high_rate_96()
+        vd = xc.sampled_vd(G, 300, 17, max_subsets=1)
+        gen = np.random.default_rng(17)
+        for i, m in enumerate(range(6, 9)):
+            sets = np.argsort(gen.random((300, 9)), axis=1)[:, :m]
+            hits = sum(xc.rank(xc.select_columns(G, sorted(s))) == 6 for s in sets.tolist())
+            assert (vd.samples[i], vd.counts[i]) == (300, hits)
+        assert vd.samples[3] == 0 and vd.counts[3] == 1
 
     def test_all_exact_when_threshold_high(self, g135, vd135):
         vd = xc.sampled_vd(g135, 10, 0)
@@ -323,6 +369,15 @@ class TestSimulatePs:
         truth = xc.p_success(vd135, 0.3).p_s
         se = math.sqrt(truth * (1 - truth) / res.trials)
         assert abs(res.estimate - truth) < 4 * se
+
+    def test_trials_recount_on_the_generator(self):
+        G = high_rate_96()
+        res = xc.simulate_ps(G, 0.2, 2000, 23)
+        keep = np.random.default_rng(23).random((2000, 9)) >= 0.2
+        want = sum(row.any() and xc.rank(xc.select_columns(G, np.flatnonzero(row))) == 6
+                   for row in keep)
+        assert res.successes == want
+        assert 0 < want < 2000
 
     def test_rejects_bad_args(self, g135):
         with pytest.raises(ValueError, match="trials"):

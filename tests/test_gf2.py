@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import xorcodes as xc
+from xorcodes import gf2
 from xorcodes.gf2 import pack_columns, rank_batch
 
 
@@ -112,6 +113,33 @@ class TestIsNonsingular:
             xc.is_nonsingular(xc.BinaryMatrix.zeros(2, 3))
 
 
+class TestParityCheck:
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(st.data())
+    def test_spans_the_null_space(self, data):
+        k = data.draw(st.integers(1, 8), label="k")
+        n = data.draw(st.integers(1, 12), label="n")
+        bits = data.draw(st.lists(st.integers(0, 1), min_size=k * n, max_size=k * n),
+                         label="bits")
+        a = np.array(bits, dtype=np.uint8).reshape(k, n)
+        # repeat the first r rows below them, so rank(M) <= r
+        r = data.draw(st.integers(1, k), label="r")
+        a[r:] = a[np.arange(r, k) % r]
+        M = xc.BinaryMatrix(a)
+        if xc.rank(M) == n:
+            with pytest.raises(ValueError, match="full column rank"):
+                xc.parity_check(M)
+            return
+        H = xc.parity_check(M)
+        assert H.cols == n
+        assert not (M.array.astype(int) @ H.array.T.astype(int) % 2).any()
+        assert H.rows == xc.rank(H) == n - xc.rank(M)
+
+    def test_rejects_full_column_rank(self):
+        with pytest.raises(ValueError, match="full column rank"):
+            xc.parity_check(xc.BinaryMatrix.identity(4))
+
+
 class TestSelectColumns:
     def test_picks_columns(self, g135):
         sub = xc.select_columns(g135, [0, 5, 12])
@@ -180,6 +208,24 @@ class TestRankBatch:
         packed = M.packed_columns()
         padded = np.concatenate([packed, np.zeros((3, packed.shape[1]), dtype=np.uint64)])
         assert rank_batch(padded[None], 6)[0] == xc.rank(M)
+
+    def test_partial_last_block_across_two_limbs(self):
+        # k = 100 spans two limbs; N leaves a partial block after two full ones
+        k, n = 100, 104
+        per_block = gf2._BLOCK_BYTES // (n * 2 * 8)
+        rng = np.random.default_rng(5)
+        mats = []
+        for _ in range(2 * per_block + 37):
+            r = int(rng.integers(90, k + 1))  # rank at most r
+            a = rng.integers(0, 2, size=(k, r)) @ rng.integers(0, 2, size=(r, n)) % 2
+            mats.append(xc.BinaryMatrix(a))
+        got = rank_batch(np.stack([m.packed_columns() for m in mats]), k)
+        assert got.tolist() == [xc.rank(m) for m in mats]
+        assert len(set(got.tolist())) > 1
+
+    def test_empty_collections_have_rank_zero(self):
+        assert rank_batch(np.zeros((3, 0, 1), dtype=np.uint64), 5).tolist() == [0, 0, 0]
+        assert rank_batch(np.zeros((0, 4, 2), dtype=np.uint64), 70).shape == (0,)
 
     def test_rejects_bad_shape(self):
         with pytest.raises(ValueError, match="limbs"):
