@@ -49,6 +49,9 @@ EXACT_ENUMERATION_LIMIT = 2_000_000
 
 _CHUNK = 65_536
 _SAMPLE_CHUNK = 4096
+# Bytes of float64 erasure draws per simulate_ps chunk; the (rows, n, limbs)
+# uint64 sets it ranks take at most this much per limb.
+_SIMULATION_CHUNK_BYTES = 8 << 20
 
 
 class DecodingVector:
@@ -165,19 +168,21 @@ def _comb_chunks(n: int, m: int, chunk: int = _CHUNK):
         yield block
 
 
-def _rank_space(G: BinaryMatrix) -> tuple[np.ndarray, int, bool]:
+def _rank_space(G: BinaryMatrix) -> tuple[np.ndarray, int, bool] | None:
     """Packed columns to rank column sets on, their row count, and whether they are the dual's.
 
     A column set S of a rank-k G spans F_2^k exactly when the complementary
     columns of its parity-check matrix H are independent (matroid duality).
     When 0 < n - k < k and G has rank k, sets are ranked on H's n - k rows;
-    otherwise on G itself.
+    otherwise on G itself.  None when H already shows rank(G) < k, so that
+    no column set is full rank.
     """
     k, n = G.shape
     if 0 < n - k < k:
         H = parity_check(G)
-        if H.rows == n - k:
-            return H.packed_columns(), n - k, True
+        if H.rows > n - k:
+            return None
+        return H.packed_columns(), n - k, True
     return G.packed_columns(), k, False
 
 
@@ -187,9 +192,11 @@ def _count_full_rank(space, sizes) -> dict[int, int]:
     ``space`` is :func:`_rank_space` of the generator; on the dual, an
     m-subset is full rank when its complementary (n - m)-subset is independent.
     """
+    counts = dict.fromkeys(sizes, 0)
+    if space is None:
+        return counts
     packed, rows, dual = space
     n = packed.shape[0]
-    counts = dict.fromkeys(sizes, 0)
     for m in counts:
         j = n - m if dual else m
         full = j if dual else rows
@@ -198,18 +205,22 @@ def _count_full_rank(space, sizes) -> dict[int, int]:
     return counts
 
 
-def _sample_full_rank(space, m: int, samples: int, gen) -> int:
-    """Number of full-rank sets among ``samples`` uniform m-subsets of the columns."""
-    packed, rows, dual = space
-    n = packed.shape[0]
-    full = n - m if dual else rows
+def _sample_full_rank(space, n: int, m: int, samples: int, gen) -> int:
+    """Number of full-rank sets among ``samples`` uniform m-subsets of the n columns.
+
+    The draws are the same whatever ``space`` is, so a shared ``gen`` moves
+    on identically; a None space (rank(G) < k) ranks nothing.
+    """
     hits = 0
     for done in range(0, samples, _SAMPLE_CHUNK):
-        c = min(_SAMPLE_CHUNK, samples - done)
+        draws = gen.random((min(_SAMPLE_CHUNK, samples - done), n))
+        if space is None:
+            continue
+        packed, rows, dual = space
         # uniform m-subsets: the m smallest of n iid uniforms; the dual ranks the rest
-        order = np.argpartition(gen.random((c, n)), m, axis=1)
+        order = np.argpartition(draws, m, axis=1)
         sel = order[:, m:] if dual else order[:, :m]
-        hits += int((rank_batch(packed[sel], rows) == full).sum())
+        hits += int((rank_batch(packed[sel], rows) == (n - m if dual else rows)).sum())
     return hits
 
 
@@ -241,7 +252,7 @@ def _counted_vd(G: BinaryMatrix, max_subsets: int, samples_per_entry=None,
             totals.append(t)
             samples.append(0)
         else:
-            counts.append(_sample_full_rank(space, m, samples_per_entry, gen))
+            counts.append(_sample_full_rank(space, n, m, samples_per_entry, gen))
             totals.append(samples_per_entry)
             samples.append(samples_per_entry)
     rho = [c / t for c, t in zip(counts, totals)]
@@ -343,12 +354,38 @@ def is_mds(vd: DecodingVector) -> bool:
     return bool((vd.rho == 1.0).all())
 
 
+def _distinct_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct rows of a 2-d bool array, in no set order, and how often each occurs.
+
+    Rows are packed into zero-padded uint64 limbs and sorted on them limb
+    by limb, so equal rows end up adjacent; a row starts a new group where
+    it differs from the one before it.  Only the passes after the first
+    must be stable, and the first, unstable one is the fastest numpy sort.
+    """
+    c, n = a.shape
+    padded = np.zeros((c, -(-n // 64) * 64), dtype=bool)
+    padded[:, :n] = a
+    limbs = np.packbits(padded).view(np.uint64).reshape(c, -1)
+    order = np.argsort(limbs[:, 0])
+    for limb in limbs.T[1:]:
+        order = order[np.argsort(limb[order], kind="stable")]
+    limbs = limbs[order]
+    new = np.ones(c, dtype=bool)
+    new[1:] = (limbs[1:] != limbs[:-1]).any(axis=1)
+    starts = np.flatnonzero(new)
+    return a[order[starts]], np.diff(starts, append=c)
+
+
 def simulate_ps(G: BinaryMatrix, p: float, trials: int, rng) -> SimulationResult:
     """Monte Carlo channel experiment: erase columns iid, test full rank.
 
     Runs ``trials`` independent experiments; success means the surviving
     columns still span all k rows (on the dual: the erased columns of the
-    parity-check matrix are independent).  Deterministic for a fixed seed.
+    parity-check matrix are independent).  Trials are drawn in chunks
+    whose memory is bounded by a byte budget, not by a trial count, and
+    each distinct erasure pattern in a chunk is ranked once, its success
+    weighted by how often it was drawn.  Deterministic for a fixed seed,
+    whatever the chunking, since the draws fill row by row.
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"erasure probability must be in [0, 1], got {p}")
@@ -356,17 +393,18 @@ def simulate_ps(G: BinaryMatrix, p: float, trials: int, rng) -> SimulationResult
         raise ValueError(f"trials must be >= 1, got {trials}")
     gen = np.random.default_rng(rng)
     n = G.cols
-    packed, rows, dual = _rank_space(G)
+    space = _rank_space(G)
+    chunk = max(1, _SIMULATION_CHUNK_BYTES // (8 * n))
     successes = 0
-    done = 0
-    while done < trials:
-        c = min(_CHUNK, trials - done)
-        keep = gen.random((c, n)) >= p
-        ranked = ~keep if dual else keep
+    for done in range(0, trials, chunk):
+        keep = gen.random((min(chunk, trials - done), n)) >= p
+        if space is None:
+            continue
+        packed, rows, dual = space
+        ranked, weight = _distinct_rows(~keep if dual else keep)
         full = ranked.sum(axis=1) if dual else rows
         sets = np.where(ranked[:, :, None], packed, 0)
-        successes += int((rank_batch(sets, rows) == full).sum())
-        done += c
+        successes += int(weight[rank_batch(sets, rows) == full].sum())
     est = successes / trials
     se = math.sqrt(est * (1.0 - est) / trials)
     return SimulationResult(p=p, estimate=est, stderr=se, trials=trials, successes=successes)

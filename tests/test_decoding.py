@@ -8,7 +8,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import xorcodes as xc
-from xorcodes.decoding import _comb_chunks, _count_full_rank, _loss_term, _rank_space
+from xorcodes import decoding
+from xorcodes.decoding import (_comb_chunks, _count_full_rank, _distinct_rows, _loss_term,
+                               _rank_space)
 
 # frozen by independent naive enumeration of the shipped [13,5] matrix
 COUNTS_13_5 = (792, 1536, 1680, 1284, 715, 286, 78, 13, 1)
@@ -39,6 +41,13 @@ def high_rate_96():
     G = xc.random_matrix(6, 9, np.random.default_rng(1))
     assert xc.rank(G) == 6 and _rank_space(G)[2]
     return G
+
+
+def repeated_last_row(k, n, seed):
+    """A random k x n code whose last row repeats the first, so rank(G) < k."""
+    a = xc.random_matrix(k, n, np.random.default_rng(seed)).to_array()
+    a[-1] = a[0]
+    return xc.BinaryMatrix(a)
 
 
 class TestDecodingVector:
@@ -136,8 +145,31 @@ class TestExactVd:
     @example(xc.BinaryMatrix([[1, 0, 1, 1, 0], [0, 1, 0, 1, 0], [0, 0, 0, 0, 0]]))
     def test_high_rate_counts_match_brute_force(self, G):
         k, n = G.shape
-        assert _rank_space(G)[2] == (xc.rank(G) == k)
+        space = _rank_space(G)
+        if xc.rank(G) == k:
+            assert space[2]  # counted on the dual
+        else:
+            assert space is None  # no column set is full rank
         assert xc.exact_vd(G).counts == tuple(brute_force_counts(G, range(k, n + 1)).values())
+
+    def test_rank_deficient_high_rate_ranks_nothing(self, monkeypatch):
+        G = repeated_last_row(40, 44, 0)
+        full = xc.random_matrix(40, 44, np.random.default_rng(0))
+        assert xc.rank(G) == 39 and xc.rank(full) == 40
+
+        def refuse(*args):
+            raise AssertionError("rank_batch called on a rank-deficient code")
+
+        gens = [np.random.default_rng(5), np.random.default_rng(5)]
+        want = xc.sampled_vd(full, 50, gens[0], max_subsets=1000)
+        assert xc.simulate_ps(full, 0.01, 1000, gens[0]).successes > 0
+        monkeypatch.setattr(decoding, "rank_batch", refuse)
+        assert xc.exact_vd(G).counts == (0,) * 5
+        vd = xc.sampled_vd(G, 50, gens[1], max_subsets=1000)
+        assert vd.counts == (0,) * 5 and vd.samples == want.samples
+        assert xc.simulate_ps(G, 0.01, 1000, gens[1]).successes == 0
+        # a shared Generator moves on exactly as it does for a full-rank code
+        assert gens[0].random() == gens[1].random()
 
     def test_comb_chunks_yield_the_empty_subset(self):
         assert [b.shape for b in _comb_chunks(5, 0)] == [(1, 0)]
@@ -379,11 +411,56 @@ class TestSimulatePs:
         assert res.successes == want
         assert 0 < want < 2000
 
+    @pytest.mark.parametrize("G,p", [
+        (xc.random_matrix(5, 13, np.random.default_rng(2)), 0.3),  # primal
+        (high_rate_96(), 0.25),  # dual
+        (repeated_last_row(6, 9, 3), 0.1),  # rank deficient
+    ])
+    def test_multi_chunk_trials_recount_on_the_generator(self, G, p):
+        k, n = G.shape
+        # two full byte-budget chunks and a partial third
+        trials = 2 * (decoding._SIMULATION_CHUNK_BYTES // (8 * n)) + 4321
+        gen, ref = np.random.default_rng(17), np.random.default_rng(17)
+        res = xc.simulate_ps(G, p, trials, gen)
+        keep = ref.random((trials, n)) >= p
+        assert gen.random() == ref.random()  # a shared Generator moves on by the trials alone
+        rows, weight = np.unique(keep, axis=0, return_counts=True)
+        want = sum(int(w) for row, w in zip(rows, weight)
+                   if row.any() and xc.rank(xc.select_columns(G, np.flatnonzero(row))) == k)
+        assert res.successes == want
+        assert (0 < want < trials) == (xc.rank(G) == k)
+
     def test_rejects_bad_args(self, g135):
         with pytest.raises(ValueError, match="trials"):
             xc.simulate_ps(g135, 0.1, 0, 1)
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
             xc.simulate_ps(g135, -0.5, 10, 1)
+
+
+class TestDistinctRows:
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(st.data())
+    def test_groups_equal_rows(self, data):
+        n = data.draw(st.sampled_from([1, 7, 8, 13, 64, 65, 108]), label="n")
+        base = data.draw(st.lists(st.lists(st.booleans(), min_size=n, max_size=n),
+                                  min_size=1, max_size=4), label="base")
+        pool = []
+        for row in base:
+            pool.append(row)
+            pool.append(row[:-1] + [not row[-1]])  # differs in the last column only
+            if n > 64:  # differs in the second limb only
+                j = data.draw(st.integers(64, n - 1), label="j")
+                pool.append(row[:j] + [not row[j]] + row[j + 1:])
+        picks = data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=40),
+                          label="picks")
+        a = np.array([pool[i] for i in picks], dtype=bool).reshape(len(picks), n)
+        reps, weight = _distinct_rows(a)
+        keys = [r.tobytes() for r in reps]
+        assert reps.dtype == bool and reps.shape[1] == n
+        assert len(set(keys)) == len(keys)
+        assert {r.tobytes() for r in a} == set(keys)
+        assert weight.sum() == len(a)
+        assert weight.tolist() == [sum(r.tobytes() == key for r in a) for key in keys]
 
 
 class TestCsvRendering:
