@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import xorcodes as xc
 from conftest import EXAMPLE_SQUARE
@@ -167,3 +169,43 @@ class TestRandomBalancedNonsingular:
         assert (M.array.sum(axis=1) == k1).all()
         assert xc.is_nonsingular(M)
 
+
+class TestRectangleText:
+    def test_format(self, square5):
+        R = xc.top_rectangle(square5, 2)
+        text = xc.format_rectangle(R)
+        lines = text.splitlines()
+        assert lines[0] == "2 5"
+        assert lines[1] == "1 4 3 5 2"
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_round_trip(self, seed):
+        rng = np.random.default_rng(seed)
+        k = int(rng.integers(2, 9))
+        R = xc.top_rectangle(xc.random_latin_square(k, rng), int(rng.integers(1, k + 1)))
+        assert xc.parse_rectangle(xc.format_rectangle(R)) == R
+
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(st.data())
+    def test_round_trip_property(self, data):
+        k = data.draw(st.integers(1, 8), label="k")
+        L = xc.random_latin_square(k, data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        R = xc.top_rectangle(L, data.draw(st.integers(1, k), label="k1"))
+        assert xc.parse_rectangle(xc.format_rectangle(R)) == R
+
+    @pytest.mark.parametrize("text,lineno", [
+        ("", 1),
+        ("2\n", 1),
+        ("2 3\n1 2 3\n", 3),
+        ("1 3\n1 2\n", 2),
+        ("1 3\n1 x 3\n", 2),
+    ])
+    def test_parse_errors_name_line(self, text, lineno):
+        with pytest.raises(ValueError, match=f"line {lineno}"):
+            xc.parse_rectangle(text)
+
+    def test_numbers_take_ascii_digits_only(self):
+        with pytest.raises(ValueError, match="line 1: expected header"):
+            xc.parse_rectangle("1 \u00b3\n1 2 3\n")
+        with pytest.raises(ValueError, match="line 2: expected 3"):
+            xc.parse_rectangle("1 3\n1 \u00b2 3\n")
