@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -149,7 +150,14 @@ def _cmd_simulate(args) -> int:
     if result.stderr > 0:
         z = (result.estimate - analytic) / result.stderr
     else:
-        z = 0.0 if result.estimate == analytic else float("inf")
+        # a run that always or never decodes has no spread of its own:
+        # measure the gap by the spread the analytic value predicts
+        null_stderr = math.sqrt(max(0.0, analytic * (1 - analytic)) / args.trials)
+        gap = result.estimate - analytic
+        if null_stderr > 0:
+            z = gap / null_stderr
+        else:
+            z = 0.0 if gap == 0 else math.copysign(math.inf, gap)
     sys.stdout.write(_manifest_line(args, args.seed, [args.matrix], []))
     print(f"estimate={format_float(result.estimate)}")
     print(f"stderr={format_float(result.stderr)}")

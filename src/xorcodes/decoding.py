@@ -411,9 +411,12 @@ def simulate_ps(G: BinaryMatrix, p: float, trials: int, rng) -> SimulationResult
 
 
 def format_float(x: float) -> str:
-    """Float with 9 significant digits; whole values keep a .0 marker."""
+    """Float with 9 significant digits; whole values keep a .0 marker.
+
+    Non-finite values print plainly as ``inf``, ``-inf`` and ``nan``.
+    """
     s = format(float(x), ".9g")
-    if "." not in s and "e" not in s and "E" not in s:
+    if math.isfinite(x) and "." not in s and "e" not in s:
         s += ".0"
     return s
 

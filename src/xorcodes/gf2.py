@@ -4,8 +4,13 @@ The :class:`BinaryMatrix` value type stores a dense 0/1 array and lazily
 maintains a column-major bit-packed mirror (uint64 limbs, one bit per row)
 for the batch rank kernel.  Single-matrix rank runs Gaussian elimination
 on rows packed into Python integers, so row XOR is word-wide regardless
-of width.  :func:`parity_check` gives a basis of the null space, whose
-columns decide the rank of a high-rate code's column sets by duality.
+of width.  The batch kernel :func:`rank_batch` copies each block of
+collections to a (limbs, columns, collections) array and, from the top
+limb down, clears the highest leading bit of every collection at once:
+the column with the largest top limb is the pivot, and each step is a
+handful of numpy reductions across contiguous rows.  :func:`parity_check`
+gives a basis of the null space, whose columns decide the rank of a
+high-rate code's column sets by duality.
 All operations are pure; matrices are immutable once built.
 """
 
@@ -29,7 +34,7 @@ __all__ = [
 ]
 
 # Input bytes rank_batch eliminates at a time: big enough to amortise the
-# per-bit numpy calls, small enough that the working copy stays in cache.
+# per-step numpy calls, small enough that the working copy stays in cache.
 _BLOCK_BYTES = 1 << 18
 
 
@@ -219,30 +224,44 @@ def rank_batch(colsets: np.ndarray, k: int) -> np.ndarray:
     bit-packed columns over a k-row space (limbs = ceil(k/64), bit j of
     limb j // 64 = row j).  Zero columns are ignored, so collections of
     different sizes can share one padded array; an empty collection has
-    rank 0.
+    rank 0.  Raises ValueError when k rows do not fit in the limbs.
 
-    Elimination sweeps bit positions 0..k-1; at each position the first
-    column holding the bit is XORed into every column holding it (itself
-    included, which retires it).  Collections are copied and eliminated
-    one block of about ``_BLOCK_BYTES`` at a time.  Returns an (N,) int64
-    rank vector.
+    Collections are eliminated one block of about ``_BLOCK_BYTES`` at a
+    time.  Each block is copied to a C-ordered (limbs, m, sets) array, so
+    one collection's columns run down a row of contiguous set slots and
+    every reduction is across rows.  Limbs are eliminated from the top
+    one down.  Each step takes every collection's largest value p of the
+    current limb: its leading bit is the highest one left, and its column
+    is the pivot.  Every column holding that bit (``c ^ p < c``) is XORed
+    with the pivot, lower limbs included, which retires the pivot and
+    clears the bit; the step adds 1 to the rank of each collection whose
+    p is nonzero.  A limb of b bits is clear after min(m, b) steps.
+    Returns an (N,) int64 rank vector.
     """
     if colsets.ndim != 3:
         raise ValueError(f"expected (N, m, limbs) array, got shape {colsets.shape}")
     N, m, limbs = colsets.shape
+    if k > 64 * limbs:
+        raise ValueError(f"k = {k} rows need {(k + 63) // 64} limbs of 64 bits, got limbs = {limbs}")
     ranks = np.zeros(N, dtype=np.int64)
     if not colsets.size:
         return ranks
     step = max(1, _BLOCK_BYTES // (m * limbs * 8))
     for start in range(0, N, step):
-        A = colsets[start:start + step].astype(np.uint64)
+        # astype always copies, so the in-place XORs never reach the caller
+        A = colsets[start:start + step].transpose(2, 1, 0).astype(np.uint64, order="C")
         block_ranks = ranks[start:start + step]
-        sel = np.arange(A.shape[0])
-        for b in range(k):
-            bits = (A[:, :, b // 64] & np.uint64(1 << (b % 64))) != 0
-            pivot = A[sel, bits.argmax(axis=1)]
-            A ^= bits[:, :, None] * pivot[:, None, :]
-            block_ranks += bits.any(axis=1)
+        sets = np.arange(A.shape[2])
+        for limb in range(limbs - 1, -1, -1):
+            top = A[limb]
+            for _ in range(min(m, 64, k - 64 * limb)):
+                p = top.max(axis=0)
+                flip = top ^ p
+                if limb:
+                    pivot = A[:limb, top.argmax(axis=0), sets]
+                    A[:limb] ^= (flip < top) * pivot[:, None, :]
+                np.minimum(top, flip, out=top)
+                block_ranks += p != 0
     return ranks
 
 

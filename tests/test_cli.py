@@ -1,4 +1,5 @@
 import argparse
+import math
 
 import numpy as np
 import pytest
@@ -228,6 +229,21 @@ class TestSimulate:
         code, _, err = run(capsys, "simulate", GOLDEN, "--p", "1.5")
         assert code == 2
         assert err.startswith("error:")
+
+    def test_never_decoding_code_has_finite_z(self, capsys, tmp_path):
+        # rank 39 < k: every trial fails, and the analytic p_s is only
+        # rounding residue, so the simulation's own stderr is 0
+        a = xc.random_matrix(40, 44, np.random.default_rng(16)).to_array()
+        a[39] = a[0]
+        path = tmp_path / "deficient.txt"
+        path.write_text(xc.format_matrix(xc.BinaryMatrix(a)))
+        code, out, _ = run(capsys, "simulate", str(path), "--p", "0.02",
+                           "--trials", "50000", "--seed", "3")
+        assert code == 0
+        lines = dict(line.split("=", 1) for line in out.splitlines()[1:])
+        assert lines["estimate"] == "0.0" and lines["stderr"] == "0.0"
+        assert math.isfinite(float(lines["z"]))
+        assert abs(float(lines["z"])) < 1
 
 
 class TestManifest:

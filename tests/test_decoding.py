@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import xorcodes as xc
 from xorcodes import decoding
 from xorcodes.decoding import (_comb_chunks, _count_full_rank, _distinct_rows, _loss_term,
-                               _rank_space)
+                               _rank_space, format_float)
 
 # frozen by independent naive enumeration of the shipped [13,5] matrix
 COUNTS_13_5 = (792, 1536, 1680, 1284, 715, 286, 78, 13, 1)
@@ -489,6 +489,13 @@ class TestCsvRendering:
         body = xc.vd_csv(ones)
         assert "1.0,exact" in body
         assert "\n1,exact" not in body
+
+    @pytest.mark.parametrize("x,want", [
+        (float("inf"), "inf"), (float("-inf"), "-inf"), (float("nan"), "nan"),
+        (np.float64("inf"), "inf"), (3.0, "3.0"), (1e20, "1e+20"),
+    ])
+    def test_format_float_non_finite_plain(self, x, want):
+        assert format_float(x) == want
 
 
 class TestDisplayRound:

@@ -20,6 +20,15 @@ def span_size(mat: np.ndarray) -> int:
     return len(seen)
 
 
+def python_int_ranks(colsets: np.ndarray, k: int) -> list[int]:
+    """Oracle: the python-int rank of each packed collection, unpacked to k x m."""
+    N, m, _ = colsets.shape
+    if not m:
+        return [0] * N
+    bits = np.unpackbits(colsets.astype("<u8").view(np.uint8), axis=2, bitorder="little")
+    return [xc.rank(xc.BinaryMatrix(b[:, :k].T)) for b in bits]
+
+
 class TestBinaryMatrix:
     def test_basic_properties(self):
         M = xc.BinaryMatrix([[1, 0, 1], [0, 1, 1]])
@@ -230,6 +239,50 @@ class TestRankBatch:
     def test_rejects_bad_shape(self):
         with pytest.raises(ValueError, match="limbs"):
             rank_batch(np.zeros((4, 5), dtype=np.uint64), 3)
+
+    @pytest.mark.parametrize("k,limbs", [(65, 1), (129, 2), (200, 3)])
+    def test_rejects_k_beyond_limbs(self, k, limbs):
+        with pytest.raises(ValueError, match=f"k = {k} .*limbs = {limbs}"):
+            rank_batch(np.zeros((2, 3, limbs), dtype=np.uint64), k)
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(st.data())
+    def test_matches_python_int_rank(self, data):
+        # 1-4 limbs, with the limb boundaries drawn often
+        k = data.draw(st.integers(1, 200) | st.sampled_from([64, 65, 128, 129, 192, 193, 200]),
+                      label="k")
+        limbs = (k + 63) // 64
+        if data.draw(st.booleans(), label="several blocks"):
+            # with 32 columns or more a block holds at most 1,024 sets
+            m = data.draw(st.integers(32, 40), label="m")
+            per_block = gf2._BLOCK_BYTES // (m * limbs * 8)
+            N = data.draw(st.integers(2 * per_block, 3 * per_block + 1), label="N")
+        else:
+            m = data.draw(st.integers(0, 24), label="m")
+            N = data.draw(st.integers(0, 40), label="N")
+        r = data.draw(st.just(min(k, m)) | st.integers(0, min(k, m)), label="rank bound")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        # r random columns, then m - r planted ones that are random XORs of
+        # them (copies and zero columns among them), in a shuffled order
+        basis = rng.integers(0, 2**64, size=(N, r, limbs), dtype=np.uint64)
+        basis[:, :, -1] &= np.uint64(2**(k - 64 * (limbs - 1)) - 1)
+        coef = rng.integers(0, 2, size=(N, m - r, r), dtype=np.uint64)
+        cols = np.zeros((N, m, limbs), dtype=np.uint64)
+        cols[:, :r] = basis
+        for j in range(r):
+            cols[:, r:] ^= coef[:, :, j, None] * basis[:, None, j, :]
+        cols = cols[:, rng.permutation(m)]
+        zero_share = data.draw(st.sampled_from([0.0, 0.3, 1.0]), label="zero share")
+        cols[rng.random((N, m)) < zero_share] = 0  # zero padding
+        before = cols.copy()
+        got = rank_batch(cols, k)
+        assert got.dtype == np.int64 and got.shape == (N,)
+        assert got.tolist() == python_int_ranks(cols, k)
+        assert np.array_equal(cols, before)
+        if N:
+            one = cols[:1]
+            assert rank_batch(one, k).tolist() == got[:1].tolist()
+            assert np.array_equal(cols, before)
 
     def test_pack_columns_layout(self):
         a = np.array([[1, 0], [0, 1], [1, 1]], dtype=np.uint8)
