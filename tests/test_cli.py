@@ -1,5 +1,4 @@
 import argparse
-import math
 
 import numpy as np
 import pytest
@@ -242,8 +241,7 @@ class TestSimulate:
         assert code == 0
         lines = dict(line.split("=", 1) for line in out.splitlines()[1:])
         assert lines["estimate"] == "0.0" and lines["stderr"] == "0.0"
-        assert math.isfinite(float(lines["z"]))
-        assert abs(float(lines["z"])) < 1
+        assert abs(float(lines["z"])) < 1  # finite, and near 0
 
 
 class TestManifest:

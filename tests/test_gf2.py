@@ -280,8 +280,7 @@ class TestRankBatch:
         assert got.tolist() == python_int_ranks(cols, k)
         assert np.array_equal(cols, before)
         if N:
-            one = cols[:1]
-            assert rank_batch(one, k).tolist() == got[:1].tolist()
+            assert rank_batch(cols[:1], k).tolist() == got[:1].tolist()
             assert np.array_equal(cols, before)
 
     def test_pack_columns_layout(self):
