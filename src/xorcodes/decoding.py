@@ -8,7 +8,11 @@ when the binomials involved are small enough, and estimated by uniform
 subset sampling otherwise.  A full-rank high-rate code (0 < n - k < k) is
 counted on its dual: a column set spans F_2^k exactly when the other
 columns of the parity-check matrix are independent, so every rank is
-taken over n - k rows instead of k.  On top of that sit the
+taken over n - k rows instead of k.  The subset index table of every
+enumeration that fits one block is built once per process and reused,
+since a search scores thousands of codes of one length; a length keeps at
+most n + 1 such tables, each no larger than one streamed block, and larger
+enumerations are streamed and never kept.  On top of that sit the
 erasure-channel success probability, the analytic random-linear-code
 baseline, the MDS predicate, and a Monte Carlo channel simulator used as
 an empirical cross-check.
@@ -16,6 +20,7 @@ an empirical cross-check.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -154,14 +159,31 @@ class SimulationResult:
     successes: int
 
 
-def _comb_chunks(n: int, m: int, chunk: int = _CHUNK):
-    """Yield (rows, m) index arrays covering all m-subsets of range(n) in order."""
-    if m == 0:  # the one empty subset; reshape cannot size zero-width rows
-        yield np.zeros((1, 0), dtype=np.int32)
+@functools.cache
+def _comb_table(n: int, m: int) -> np.ndarray:
+    """All m-subsets of range(n) as one read-only (C(n, m), m) int32 array, in order."""
+    table = np.fromiter(itertools.chain.from_iterable(itertools.combinations(range(n), m)),
+                        dtype=np.int32).reshape(math.comb(n, m), m)
+    table.flags.writeable = False
+    return table
+
+
+def _comb_chunks(n: int, m: int):
+    """Yield (rows, m) index arrays covering all m-subsets of range(n) in order.
+
+    The indices depend only on (n, m), so an enumeration that fits one
+    ``_CHUNK`` block is yielded as its memoised :func:`_comb_table`, and a
+    search that scores thousands of codes of one length builds each table
+    once.  A length keeps at most n + 1 tables, each at most ``_CHUNK``
+    rows of m int32 (the size of one streamed block).  Larger enumerations
+    stream from ``itertools`` and are never kept.
+    """
+    if math.comb(n, m) <= _CHUNK:
+        yield _comb_table(n, m)
         return
     it = itertools.combinations(range(n), m)
     while True:
-        block = np.fromiter(itertools.chain.from_iterable(itertools.islice(it, chunk)),
+        block = np.fromiter(itertools.chain.from_iterable(itertools.islice(it, _CHUNK)),
                             dtype=np.int32).reshape(-1, m)
         if not block.size:
             return
@@ -245,10 +267,11 @@ def _counted_vd(G: BinaryMatrix, max_subsets: int, samples_per_entry=None,
                     "estimate it by sampling (sampled_vd, or --samples N)"
                 )
     space = _rank_space(G)
+    exact = _count_full_rank(space, [m for m, t in binomials.items() if t <= max_subsets])
     counts, totals, samples = [], [], []
     for m, t in binomials.items():
-        if t <= max_subsets:
-            counts.append(_count_full_rank(space, [m])[m])
+        if m in exact:
+            counts.append(exact[m])
             totals.append(t)
             samples.append(0)
         else:

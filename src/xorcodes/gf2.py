@@ -53,7 +53,8 @@ class BinaryMatrix:
             raise ValueError(f"expected a 2-d array, got {a.ndim}-d")
         if a.shape[0] < 1 or a.shape[1] < 1:
             raise ValueError(f"matrix must have at least one row and column, got {a.shape}")
-        if not np.isin(np.asarray(array), (0, 1)).all():
+        x = np.asarray(array)
+        if not ((x == 0) | (x == 1)).all():
             raise ValueError("matrix entries must be 0 or 1")
         a = a.copy()
         a.flags.writeable = False

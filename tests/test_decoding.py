@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 import xorcodes as xc
 from xorcodes import decoding
-from xorcodes.decoding import (_comb_chunks, _count_full_rank, _distinct_rows, _loss_term,
-                               _rank_space, format_float)
+from xorcodes.decoding import (_comb_chunks, _comb_table, _count_full_rank, _distinct_rows,
+                               _loss_term, _rank_space, format_float)
 
 # frozen by independent naive enumeration of the shipped [13,5] matrix
 COUNTS_13_5 = (792, 1536, 1680, 1284, 715, 286, 78, 13, 1)
@@ -172,7 +172,24 @@ class TestExactVd:
         assert gens[0].random() == gens[1].random()
 
     def test_comb_chunks_yield_the_empty_subset(self):
-        assert [b.shape for b in _comb_chunks(5, 0)] == [(1, 0)]
+        [block] = _comb_chunks(5, 0)
+        assert block.shape == (1, 0) and block is next(_comb_chunks(5, 0))
+
+    def test_comb_chunks_reuse_one_read_only_table(self):
+        [a] = _comb_chunks(13, 5)
+        [b] = _comb_chunks(13, 5)
+        assert a is b and a.dtype == np.int32
+        assert a.tolist() == [list(c) for c in itertools.combinations(range(13), 5)]
+        with pytest.raises(ValueError):
+            a[0, 0] = 1
+
+    def test_comb_chunks_stream_large_enumerations_unkept(self):
+        _comb_table.cache_clear()
+        blocks = list(_comb_chunks(44, 4))
+        assert [len(b) for b in blocks] == [65_536, 65_536, 4_679]
+        assert np.concatenate(blocks).tolist() == [
+            list(c) for c in itertools.combinations(range(44), 4)]
+        assert _comb_table.cache_info().currsize == 0
 
     def test_rejects_zero_max_subsets(self, g135):
         with pytest.raises(ValueError, match="max_subsets"):

@@ -37,8 +37,13 @@ class TestBinaryMatrix:
         assert M.array.dtype == np.uint8
 
     def test_rejects_non_binary(self):
-        with pytest.raises(ValueError, match="0 or 1"):
-            xc.BinaryMatrix([[0, 2], [1, 0]])
+        for entries in ([[0, 2], [1, 0]], [["0", "1"]], [[0.5, 1]], [[1, 2.0]]):
+            with pytest.raises(ValueError, match="0 or 1"):
+                xc.BinaryMatrix(entries)
+
+    def test_accepts_binary_floats_and_bools(self):
+        for entries in ([[0.0, 1.0]], [[True, False]], [[1, -0.0]]):
+            assert xc.BinaryMatrix(entries).array.tolist() == [[int(x) for x in entries[0]]]
 
     def test_rejects_bad_shape(self):
         with pytest.raises(ValueError, match="2-d"):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import xorcodes as xc
+from xorcodes.decoding import _comb_table
 
 
 def small_cfg(**kw):
@@ -218,7 +219,9 @@ class TestSearchFamily:
 
     def test_deterministic_across_threads(self):
         cfg = small_cfg(attempts=8)
+        _comb_table.cache_clear()
         a = xc.search_family(cfg, algorithm=2, threads=1)
+        _comb_table.cache_clear()  # threads also build the same tables at once
         b = xc.search_family(cfg, algorithm=2, threads=4)
         assert len(a) == len(b)
         for x, y in zip(a, b):
