@@ -5,10 +5,12 @@ maintains a column-major bit-packed mirror (uint64 limbs, one bit per row)
 for the batch rank kernel.  Single-matrix rank runs Gaussian elimination
 on rows packed into Python integers, so row XOR is word-wide regardless
 of width.  The batch kernel :func:`rank_batch` copies each block of
-collections to a (limbs, columns, collections) array and, from the top
-limb down, clears the highest leading bit of every collection at once:
-the column with the largest top limb is the pivot, and each step is a
-handful of numpy reductions across contiguous rows.  :func:`parity_check`
+collections to a (limbs, columns, collections) array in the narrowest
+unsigned word that holds k rows (uint8 up to 8 rows, uint16 up to 16,
+uint32 up to 32, else uint64 limbs) and, from the top limb down, clears
+the highest leading bit of every collection at once: the column with the
+largest top limb is the pivot, and each step is a handful of numpy
+reductions across contiguous rows.  :func:`parity_check`
 gives a basis of the null space, whose columns decide the rank of a
 high-rate code's column sets by duality.
 All operations are pure; matrices are immutable once built.
@@ -222,14 +224,19 @@ def rank_batch(colsets: np.ndarray, k: int) -> np.ndarray:
     """Ranks of many column collections at once.
 
     ``colsets`` has shape (N, m, limbs): N independent collections of m
-    bit-packed columns over a k-row space (limbs = ceil(k/64), bit j of
-    limb j // 64 = row j).  Zero columns are ignored, so collections of
-    different sizes can share one padded array; an empty collection has
-    rank 0.  Raises ValueError when k rows do not fit in the limbs.
+    bit-packed uint64 columns over a k-row space (limbs = ceil(k/64), bit j
+    of limb j // 64 = row j).  Bits at rows k and above must be zero, as
+    :func:`pack_columns` leaves them; they are not checked.  Zero columns
+    are ignored, so collections of different sizes can share one padded
+    array; an empty collection has rank 0.  Raises ValueError when k rows
+    do not fit in the limbs.
 
-    Collections are eliminated one block of about ``_BLOCK_BYTES`` at a
-    time.  Each block is copied to a C-ordered (limbs, m, sets) array, so
-    one collection's columns run down a row of contiguous set slots and
+    Collections are eliminated one block of about ``_BLOCK_BYTES`` input
+    bytes at a time.  Each block is copied to a C-ordered (limbs, m, sets)
+    array of the narrowest unsigned word that holds k bits: uint8 for
+    k <= 8, uint16 for k <= 16, uint32 for k <= 32, and uint64 limbs
+    otherwise, so a small k moves up to 8x fewer bytes per step.  One
+    collection's columns run down a row of contiguous set slots and
     every reduction is across rows.  Limbs are eliminated from the top
     one down.  Each step takes every collection's largest value p of the
     current limb: its leading bit is the highest one left, and its column
@@ -247,10 +254,11 @@ def rank_batch(colsets: np.ndarray, k: int) -> np.ndarray:
     ranks = np.zeros(N, dtype=np.int64)
     if not colsets.size:
         return ranks
+    word = np.min_scalar_type((1 << min(k, 64)) - 1)
     step = max(1, _BLOCK_BYTES // (m * limbs * 8))
     for start in range(0, N, step):
         # astype always copies, so the in-place XORs never reach the caller
-        A = colsets[start:start + step].transpose(2, 1, 0).astype(np.uint64, order="C")
+        A = colsets[start:start + step].transpose(2, 1, 0).astype(word, order="C")
         block_ranks = ranks[start:start + step]
         sets = np.arange(A.shape[2])
         for limb in range(limbs - 1, -1, -1):

@@ -11,6 +11,7 @@ import xorcodes as xc
 from xorcodes import decoding
 from xorcodes.decoding import (_comb_chunks, _comb_table, _count_full_rank, _distinct_rows,
                                _loss_term, _rank_space, format_float)
+from xorcodes.gf2 import rank_batch
 
 # frozen by independent naive enumeration of the shipped [13,5] matrix
 COUNTS_13_5 = (792, 1536, 1680, 1284, 715, 286, 78, 13, 1)
@@ -170,6 +171,22 @@ class TestExactVd:
         assert xc.simulate_ps(G, 0.01, 1000, gens[1]).successes == 0
         # a shared Generator moves on exactly as it does for a full-rank code
         assert gens[0].random() == gens[1].random()
+
+    @pytest.mark.parametrize("shape", [None, (3, 7), (40, 44)], ids=["g135", "7-3", "dual-44-40"])
+    def test_ranks_every_subset_once(self, g135, monkeypatch, shape):
+        # the benchmark's traced invariant: rank_batch sees exactly sum_m C(n, m) sets
+        G = g135 if shape is None else xc.random_matrix(*shape, np.random.default_rng(3))
+        k, n = G.shape
+        assert xc.rank(G) == k and bool(_rank_space(G)[2]) == (shape == (40, 44))
+        ranked = []
+
+        def counting(colsets, rows):
+            ranked.append(colsets.shape[0])
+            return rank_batch(colsets, rows)
+
+        monkeypatch.setattr(decoding, "rank_batch", counting)
+        xc.exact_vd(G)
+        assert sum(ranked) == sum(math.comb(n, m) for m in range(k, n + 1))
 
     def test_comb_chunks_yield_the_empty_subset(self):
         [block] = _comb_chunks(5, 0)

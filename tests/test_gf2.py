@@ -197,7 +197,9 @@ class TestRandomMatrix:
 
 
 class TestRankBatch:
-    @pytest.mark.parametrize("k,n", [(3, 6), (5, 13), (8, 8)])
+    # k on both sides of the uint8, uint16 and uint32 working words
+    @pytest.mark.parametrize("k,n", [(3, 6), (5, 13), (8, 8), (9, 13), (16, 20), (17, 21),
+                                     (32, 36), (33, 37)])
     def test_matches_scalar_rank(self, k, n):
         rng = np.random.default_rng(k * 100 + n)
         mats = [xc.random_matrix(k, n, rng) for _ in range(50)]
@@ -253,9 +255,9 @@ class TestRankBatch:
     @settings(max_examples=60, derandomize=True, deadline=None)
     @given(st.data())
     def test_matches_python_int_rank(self, data):
-        # 1-4 limbs, with the limb boundaries drawn often
-        k = data.draw(st.integers(1, 200) | st.sampled_from([64, 65, 128, 129, 192, 193, 200]),
-                      label="k")
+        # 1-4 limbs, with the word and limb boundaries drawn often
+        k = data.draw(st.integers(1, 200) | st.sampled_from([8, 9, 16, 17, 32, 33, 64, 65, 128,
+                                                             129, 192, 193, 200]), label="k")
         limbs = (k + 63) // 64
         if data.draw(st.booleans(), label="several blocks"):
             # with 32 columns or more a block holds at most 1,024 sets
