@@ -39,8 +39,10 @@ class _CliError(Exception):
     pass
 
 
-# --seed is the manifest's master_seed and --out* its outputs; --threads never changes a result
-_NOT_CONFIG = {"seed", "threads", "func", "subcommand"}
+# --seed is the manifest's master_seed and --out* its outputs
+_NOT_CONFIG = {"seed", "func", "subcommand"}
+# a p grid this long is a mistyped --p-step, not a sweep anyone reads
+_MAX_GRID_POINTS = 10**6
 
 
 def _manifest_line(args, master_seed, inputs, outputs) -> str:
@@ -78,6 +80,9 @@ def _p_grid(p_min: float, p_max: float, p_step: float) -> list[float]:
         raise _CliError(f"need 0 <= p-min <= p-max <= 1, got {p_min}..{p_max}")
     if not p_step > 0:
         raise _CliError(f"p-step must be positive, got {p_step}")
+    if not (p_max - p_min) / p_step < _MAX_GRID_POINTS:
+        raise _CliError(f"--p-step {p_step} makes more than {_MAX_GRID_POINTS} points "
+                        f"over {p_min}..{p_max}")
     count = int(round((p_max - p_min) / p_step)) + 1
     grid = [min(p_min + i * p_step, p_max) for i in range(count)]
     if grid[-1] < p_max - 1e-12:
@@ -129,7 +134,7 @@ def _cmd_search(args) -> int:
         samples=args.samples,
         max_subsets=args.max_subsets,
     )
-    family = search_family(cfg, algorithm=args.algorithm, threads=args.threads)
+    family = search_family(cfg, algorithm=args.algorithm)
     head = _manifest_line(args, cfg.master_seed, [], [args.out])
     records = []
     for c in family:
@@ -210,7 +215,6 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="stop a climb after this many consecutive rejections")
     p_search.add_argument("--max-subsets", type=int, default=EXACT_ENUMERATION_LIMIT,
                           help="largest C(n, m) counted exactly")
-    p_search.add_argument("--threads", type=int, default=1, help="worker threads for restarts")
     p_search.add_argument("--out", default="-", help="family file path (default stdout)")
     p_search.set_defaults(func=_cmd_search)
 

@@ -10,7 +10,6 @@ decoding vectors.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -217,41 +216,32 @@ def dominates(a: DecodingVector, b: DecodingVector) -> bool:
     return _rho_dominates(a, b)
 
 
-def _run_restart(cfg: SearchConfig, algorithm: int, idx: int) -> CodeCandidate:
-    gen = np.random.default_rng(np.random.SeedSequence(cfg.master_seed, spawn_key=(idx,)))
-    start = init_balanced(cfg, gen) if algorithm == 2 else init_random(cfg, gen)
-    c = climb(start, cfg, gen)
-    if algorithm == 2:
-        _check_structured(c, cfg)
-    prov = dict(c.provenance)
-    prov["master_seed"] = cfg.master_seed
-    prov["restart"] = idx
-    return CodeCandidate(c.G, c.vd, c.score, prov)
-
-
-def search_family(cfg: SearchConfig, algorithm: int = 2, threads: int = 1) -> list[CodeCandidate]:
+def search_family(cfg: SearchConfig, algorithm: int = 2) -> list[CodeCandidate]:
     """Run independent climbed restarts and keep the nondominated vectors.
 
-    Each restart draws its stream from (master_seed, restart index), so the
-    result is identical for any thread count.  Candidates whose decoding
-    vector is dominated by (or equal to) an earlier restart's are dropped;
-    the survivors come back sorted by score, best first.
+    Restart i draws its stream from SeedSequence(master_seed, spawn_key=(i,)),
+    so it depends only on (master_seed, i).  Restarts run in index order and
+    each result is folded in as it finishes: a candidate whose decoding
+    vector is dominated by (or equal to) an earlier restart's is dropped.
+    The survivors come back sorted by score, best first.
     """
     if algorithm not in (1, 2):
         raise ValueError(f"algorithm must be 1 or 2, got {algorithm}")
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
-    if threads == 1:
-        results = [_run_restart(cfg, algorithm, i) for i in range(cfg.attempts)]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda i: _run_restart(cfg, algorithm, i),
-                                    range(cfg.attempts)))
+    if algorithm == 2 and cfg.n == cfg.k + 1 and cfg.max_climb_steps > 0:
+        raise ValueError(f"algorithm 2 fixes the first k + 1 = {cfg.k + 1} columns, so a "
+                         f"[{cfg.n},{cfg.k}] code has no bit to flip: use n >= k + 2 "
+                         f"or --algorithm 1")
     family: list[CodeCandidate] = []
-    for c in results:
+    for i in range(cfg.attempts):
+        gen = np.random.default_rng(np.random.SeedSequence(cfg.master_seed, spawn_key=(i,)))
+        start = init_balanced(cfg, gen) if algorithm == 2 else init_random(cfg, gen)
+        c = climb(start, cfg, gen)
+        if algorithm == 2:
+            _check_structured(c, cfg)
         if any(_rho_dominates(f.vd, c.vd) for f in family):
             continue
         family = [f for f in family if not _rho_dominates(c.vd, f.vd)]
-        family.append(c)
+        prov = {**c.provenance, "master_seed": cfg.master_seed, "restart": i}
+        family.append(CodeCandidate(c.G, c.vd, c.score, prov))
     family.sort(key=lambda c: -c.score)
     return family

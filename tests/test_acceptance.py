@@ -256,8 +256,6 @@ def test_c9_cli_determinism(tmp_path, capsys):
     first_fam = fam_path.read_bytes()
     assert main(argv) == 0
     all_ok &= fam_path.read_bytes() == first_fam
-    assert main(argv + ["--threads", "4"]) == 0
-    all_ok &= fam_path.read_bytes() == first_fam
 
     argv = ["simulate", golden, "--p", "0.1", "--trials", "20000", "--seed", "3"]
     capsys.readouterr()

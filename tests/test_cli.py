@@ -93,7 +93,8 @@ class TestEval:
         assert [row.split(",")[0] for row in data[1:]] == ["0.1", "0.2", "0.3"]
 
     def test_rejects_bad_grid(self, capsys):
-        for step in ("-0.1", "nan"):
+        # 5e-324 overflows the point count; 1e-9 would build 5e8 floats
+        for step in ("-0.1", "nan", "5e-324", "1e-9"):
             code, _, err = run(capsys, "eval", GOLDEN, "--p-step", step)
             assert code == 2 and "p-step" in err
 
@@ -154,8 +155,6 @@ class TestSearch:
         first = out_path.read_bytes()
         assert main(argv) == 0
         assert out_path.read_bytes() == first
-        assert main(argv + ["--threads", "3"]) == 0
-        assert out_path.read_bytes() == first
         capsys.readouterr()
 
     def test_sampled_rerun_byte_identical(self, capsys, tmp_path):
@@ -185,6 +184,15 @@ class TestSearch:
         code, _, err = run(capsys, "search", "--n", "4", "--k", "4", "--attempts", "1")
         assert code == 2
         assert "n > k" in err
+
+    def test_empty_tail_refused_before_any_restart(self, capsys, monkeypatch):
+        def no_restart(*args):
+            raise AssertionError("a restart ran")
+
+        monkeypatch.setattr("xorcodes.search.init_balanced", no_restart)
+        code, _, err = run(capsys, "search", "--n", "6", "--k", "5")
+        assert code == 2
+        assert "first k + 1" in err and "--algorithm 1" in err
 
     def test_algorithm_one(self, capsys, tmp_path):
         out_path = tmp_path / "family.txt"
@@ -269,7 +277,7 @@ class TestManifest:
         subs = next(a for a in _build_parser()._actions
                     if isinstance(a, argparse._SubParsersAction))
         flags = {a.dest for a in subs.choices[argv[0]]._actions
-                 if a.dest not in ("help", "seed", "threads") and not a.dest.startswith("out")}
+                 if a.dest not in ("help", "seed") and not a.dest.startswith("out")}
         code, out, _ = run(capsys, *argv)
         assert code == 0
         assert set(json.loads(out.splitlines()[0][2:])["config"]) == flags

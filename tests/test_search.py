@@ -217,12 +217,11 @@ class TestSearchFamily:
         scores = [c.score for c in fam]
         assert scores == sorted(scores, reverse=True)
 
-    def test_deterministic_across_threads(self):
+    def test_deterministic_cold_and_warm_cache(self):
         cfg = small_cfg(attempts=8)
         _comb_table.cache_clear()
-        a = xc.search_family(cfg, algorithm=2, threads=1)
-        _comb_table.cache_clear()  # threads also build the same tables at once
-        b = xc.search_family(cfg, algorithm=2, threads=4)
+        a = xc.search_family(cfg, algorithm=2)
+        b = xc.search_family(cfg, algorithm=2)  # every subset table now memoised
         assert len(a) == len(b)
         for x, y in zip(a, b):
             assert x.G == y.G and x.provenance == y.provenance
@@ -252,8 +251,6 @@ class TestSearchFamily:
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError, match="algorithm"):
             xc.search_family(small_cfg(), algorithm=3)
-        with pytest.raises(ValueError, match="threads"):
-            xc.search_family(small_cfg(), threads=0)
 
     def test_beats_analytic_baseline(self):
         # modest budget already clears the random-code reference
