@@ -96,9 +96,9 @@ def _vd_for(G, samples, seed, max_subsets):
     return exact_vd(G, max_subsets=max_subsets)
 
 
-def _emit_vd_and_sweep(args, vd, master_seed, inputs) -> int:
+def _emit_vd_and_sweep(args, vd, grid, master_seed, inputs) -> int:
     """Write the vector CSV and its channel sweep over the --p-* grid."""
-    sweep = channel_sweep(vd, _p_grid(args.p_min, args.p_max, args.p_step))
+    sweep = channel_sweep(vd, grid)
     head = _manifest_line(args, master_seed, inputs, [args.out_vd, args.out_sweep])
     _emit(args.out_vd, head + vd_csv(vd))
     _emit(args.out_sweep, head + sweep_csv(sweep))
@@ -107,12 +107,14 @@ def _emit_vd_and_sweep(args, vd, master_seed, inputs) -> int:
 
 def _cmd_eval(args) -> int:
     G = _read_matrix(args.matrix)
+    grid = _p_grid(args.p_min, args.p_max, args.p_step)
     vd = _vd_for(G, args.samples, args.seed, args.max_subsets)
-    return _emit_vd_and_sweep(args, vd, args.seed if args.samples else None, [args.matrix])
+    return _emit_vd_and_sweep(args, vd, grid, args.seed if args.samples else None, [args.matrix])
 
 
 def _cmd_baseline(args) -> int:
-    return _emit_vd_and_sweep(args, rlnc_vd(args.n, args.k, args.q), None, [])
+    grid = _p_grid(args.p_min, args.p_max, args.p_step)
+    return _emit_vd_and_sweep(args, rlnc_vd(args.n, args.k, args.q), grid, None, [])
 
 
 def _provenance_line(prov: dict) -> str:
@@ -149,9 +151,11 @@ def _cmd_search(args) -> int:
 
 def _cmd_simulate(args) -> int:
     G = _read_matrix(args.matrix)
-    result = simulate_ps(G, args.p, args.trials, args.seed)
+    # the reference comes first so that a code it refuses costs no trials;
+    # its seed differs from the simulation's, so the order changes no draw
     vd = _vd_for(G, args.samples, args.seed + 1, args.max_subsets)
     analytic = p_success(vd, args.p).p_s
+    result = simulate_ps(G, args.p, args.trials, args.seed)
     if result.stderr > 0:
         z = (result.estimate - analytic) / result.stderr
     else:

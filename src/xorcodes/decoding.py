@@ -28,7 +28,7 @@ from decimal import ROUND_HALF_UP, Decimal
 
 import numpy as np
 
-from .gf2 import BinaryMatrix, parity_check, rank_batch
+from .gf2 import BinaryMatrix, pack_columns, parity_check, rank_batch
 
 __all__ = [
     "DecodingVector",
@@ -204,8 +204,8 @@ def _rank_space(G: BinaryMatrix) -> tuple[np.ndarray, int, bool] | None:
         H = parity_check(G)
         if H.rows > n - k:
             return None
-        return H.packed_columns(), n - k, True
-    return G.packed_columns(), k, False
+        return pack_columns(H.array), n - k, True
+    return pack_columns(G.array), k, False
 
 
 def _count_full_rank(space, sizes) -> dict[int, int]:

@@ -1,18 +1,18 @@
 """Bit-packed binary matrix arithmetic over GF(2).
 
-The :class:`BinaryMatrix` value type stores a dense 0/1 array and lazily
-maintains a column-major bit-packed mirror (uint64 limbs, one bit per row)
-for the batch rank kernel.  Single-matrix rank runs Gaussian elimination
-on rows packed into Python integers, so row XOR is word-wide regardless
-of width.  The batch kernel :func:`rank_batch` copies each block of
-collections to a (limbs, columns, collections) array in the narrowest
-unsigned word that holds k rows (uint8 up to 8 rows, uint16 up to 16,
-uint32 up to 32, else uint64 limbs) and, from the top limb down, clears
-the highest leading bit of every collection at once: the column with the
-largest top limb is the pivot, and each step is a handful of numpy
-reductions across contiguous rows.  :func:`parity_check`
-gives a basis of the null space, whose columns decide the rank of a
-high-rate code's column sets by duality.
+The :class:`BinaryMatrix` value type holds only a frozen dense 0/1 array.
+:func:`pack_columns` builds, on demand, the column-major bit-packed layout
+(uint64 limbs, one bit per row) that the batch rank kernel reads.
+Single-matrix rank runs Gaussian elimination on rows packed into Python
+integers, so row XOR is word-wide regardless of width.  The batch kernel
+:func:`rank_batch` copies each block of collections to a (limbs, columns,
+collections) array in the narrowest unsigned word that holds k rows
+(uint8 up to 8 rows, uint16 up to 16, uint32 up to 32, else uint64 limbs)
+and, from the top limb down, clears the highest leading bit of every
+collection at once: the column with the largest top limb is the pivot,
+and each step is a handful of numpy reductions across contiguous rows.
+:func:`parity_check` gives a basis of the null space, whose columns
+decide the rank of a high-rate code's column sets by duality.
 All operations are pure; matrices are immutable once built.
 """
 
@@ -47,7 +47,7 @@ class BinaryMatrix:
     is copied and frozen; mutating views are never handed out.
     """
 
-    __slots__ = ("_a", "_col_limbs", "_row_ints")
+    __slots__ = ("_a",)
 
     def __init__(self, array):
         a = np.asarray(array, dtype=np.uint8)
@@ -61,8 +61,6 @@ class BinaryMatrix:
         a = a.copy()
         a.flags.writeable = False
         self._a = a
-        self._col_limbs = None
-        self._row_ints = None
 
     @classmethod
     def identity(cls, n: int) -> "BinaryMatrix":
@@ -93,24 +91,6 @@ class BinaryMatrix:
         """Writable copy of the entries."""
         return self._a.copy()
 
-    def packed_columns(self) -> np.ndarray:
-        """Columns as bit-packed uint64 limbs, shape (cols, limbs).
-
-        Bit j of limb j // 64 holds row j.  Cached after first use; the
-        returned array is read-only.
-        """
-        if self._col_limbs is None:
-            self._col_limbs = pack_columns(self._a)
-            self._col_limbs.flags.writeable = False
-        return self._col_limbs
-
-    def packed_rows(self) -> tuple[int, ...]:
-        """Rows as Python integers, bit j holding column j."""
-        if self._row_ints is None:
-            weights = 1 << np.arange(self.cols, dtype=object)
-            self._row_ints = tuple(int(r) for r in self._a.astype(object) @ weights)
-        return self._row_ints
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, BinaryMatrix):
             return NotImplemented
@@ -134,14 +114,16 @@ def pack_columns(a: np.ndarray) -> np.ndarray:
 
 
 def rank(M: BinaryMatrix) -> int:
-    """GF(2) rank via Gaussian elimination on bit-packed rows.
+    """GF(2) rank via Gaussian elimination on rows packed into Python ints.
 
-    The pivot is always the lowest-index nonzero column of the row being
-    reduced, so the elimination order is deterministic.
+    Bit j of a row's integer holds column j.  The pivot is always the
+    lowest-index nonzero column of the row being reduced, so the
+    elimination order is deterministic.
     """
+    weights = 1 << np.arange(M.cols, dtype=object)
     pivots: dict[int, int] = {}
     r = 0
-    for row in M.packed_rows():
+    for row in M.array.astype(object) @ weights:
         while row:
             col = (row & -row).bit_length() - 1
             piv = pivots.get(col)

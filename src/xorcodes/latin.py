@@ -91,6 +91,7 @@ class LatinSquare(LatinRectangle):
 
 _ROW_RETRIES = 500
 _BUILD_RETRIES = 50
+_MAX_TRIES = 1000
 
 
 def _random_rows(k: int, n_rows: int, rng) -> np.ndarray:
@@ -158,11 +159,11 @@ def incidence_matrix(R: LatinRectangle) -> BinaryMatrix:
     return BinaryMatrix(M)
 
 
-def random_nonsingular_rectangle(k: int, k1: int, rng, max_tries: int = 1000) -> LatinRectangle:
+def random_nonsingular_rectangle(k: int, k1: int, rng) -> LatinRectangle:
     """Random k1 x k Latin rectangle whose incidence matrix is nonsingular over GF(2).
 
     Odd k1 is required: it is a necessary (not sufficient) condition, so
-    rectangles are redrawn until one passes or ``max_tries`` is spent.
+    rectangles are redrawn until one passes or ``_MAX_TRIES`` are spent.
     """
     if k1 % 2 == 0:
         raise ValueError(f"k1 must be odd, got {k1}")
@@ -172,16 +173,16 @@ def random_nonsingular_rectangle(k: int, k1: int, rng, max_tries: int = 1000) ->
         # a full square mentions every symbol in every column: all-ones matrix
         raise ValueError(f"k1 = k = {k} forces the all-ones incidence matrix, which is singular")
     gen = np.random.default_rng(rng)
-    for _ in range(max_tries):
+    for _ in range(_MAX_TRIES):
         R = LatinRectangle(_random_rows(k, k1, gen))
         if is_nonsingular(incidence_matrix(R)):
             return R
-    raise RuntimeError(f"no nonsingular incidence matrix found in {max_tries} tries (k={k}, k1={k1})")
+    raise RuntimeError(f"no nonsingular incidence matrix found in {_MAX_TRIES} tries (k={k}, k1={k1})")
 
 
-def random_balanced_nonsingular(k: int, k1: int, rng, max_tries: int = 1000) -> BinaryMatrix:
+def random_balanced_nonsingular(k: int, k1: int, rng) -> BinaryMatrix:
     """Nonsingular k x k incidence matrix of a random k1 x k Latin rectangle."""
-    return incidence_matrix(random_nonsingular_rectangle(k, k1, rng, max_tries))
+    return incidence_matrix(random_nonsingular_rectangle(k, k1, rng))
 
 
 def format_rectangle(R: LatinRectangle) -> str:

@@ -98,6 +98,14 @@ class TestEval:
             code, _, err = run(capsys, "eval", GOLDEN, "--p-step", step)
             assert code == 2 and "p-step" in err
 
+    def test_bad_grid_refused_before_the_vector(self, capsys, monkeypatch):
+        def no_vector(*args, **kwargs):
+            raise AssertionError("the vector was computed")
+
+        monkeypatch.setattr("xorcodes.cli.exact_vd", no_vector)
+        code, _, err = run(capsys, "eval", GOLDEN, "--p-step", "-1")
+        assert code == 2 and "p-step" in err
+
 
 class TestBaseline:
     def test_known_first_entry(self, capsys):
@@ -236,6 +244,16 @@ class TestSimulate:
         code, _, err = run(capsys, "simulate", GOLDEN, "--p", "1.5")
         assert code == 2
         assert err.startswith("error:")
+
+    def test_refused_reference_runs_no_trials(self, capsys, monkeypatch, tmp_path):
+        def no_trials(*args, **kwargs):
+            raise AssertionError("the simulation ran")
+
+        monkeypatch.setattr("xorcodes.cli.simulate_ps", no_trials)
+        path = tmp_path / "g_40_20.txt"
+        path.write_text(xc.format_matrix(xc.random_matrix(20, 40, np.random.default_rng(0))))
+        code, _, err = run(capsys, "simulate", str(path), "--p", "0.1", "--trials", "1000000")
+        assert code == 2 and "enumeration limit" in err
 
     def test_never_decoding_code_has_finite_z(self, capsys, tmp_path):
         # rank 39 < k: every trial fails, and the analytic p_s is only

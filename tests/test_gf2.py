@@ -203,7 +203,7 @@ class TestRankBatch:
     def test_matches_scalar_rank(self, k, n):
         rng = np.random.default_rng(k * 100 + n)
         mats = [xc.random_matrix(k, n, rng) for _ in range(50)]
-        batch = np.stack([m.packed_columns() for m in mats])
+        batch = np.stack([pack_columns(m.array) for m in mats])
         got = rank_batch(batch, k)
         want = [xc.rank(m) for m in mats]
         assert got.tolist() == want
@@ -213,7 +213,7 @@ class TestRankBatch:
         # row counts straddling the 64-bit word boundaries
         rng = np.random.default_rng(k)
         mats = [xc.random_matrix(k, k + 4, rng) for _ in range(6)]
-        batch = np.stack([m.packed_columns() for m in mats])
+        batch = np.stack([pack_columns(m.array) for m in mats])
         got = rank_batch(batch, k)
         want = [xc.rank(m) for m in mats]
         assert got.tolist() == want
@@ -221,7 +221,7 @@ class TestRankBatch:
     def test_zero_column_padding_is_inert(self):
         rng = np.random.default_rng(9)
         M = xc.random_matrix(6, 9, rng)
-        packed = M.packed_columns()
+        packed = pack_columns(M.array)
         padded = np.concatenate([packed, np.zeros((3, packed.shape[1]), dtype=np.uint64)])
         assert rank_batch(padded[None], 6)[0] == xc.rank(M)
 
@@ -235,7 +235,7 @@ class TestRankBatch:
             r = int(rng.integers(90, k + 1))  # rank at most r
             a = rng.integers(0, 2, size=(k, r)) @ rng.integers(0, 2, size=(r, n)) % 2
             mats.append(xc.BinaryMatrix(a))
-        got = rank_batch(np.stack([m.packed_columns() for m in mats]), k)
+        got = rank_batch(np.stack([pack_columns(m.array) for m in mats]), k)
         assert got.tolist() == [xc.rank(m) for m in mats]
         assert len(set(got.tolist())) > 1
 

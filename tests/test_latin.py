@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import xorcodes as xc
+from xorcodes import latin
 from conftest import EXAMPLE_SQUARE
 
 
@@ -158,6 +159,12 @@ class TestRandomNonsingularRectangle:
         a = xc.random_nonsingular_rectangle(7, 3, np.random.default_rng(99))
         b = xc.random_nonsingular_rectangle(7, 3, np.random.default_rng(99))
         assert a == b
+
+    def test_gives_up_after_max_tries(self, monkeypatch):
+        monkeypatch.setattr(latin, "is_nonsingular", lambda M: False)
+        monkeypatch.setattr(latin, "_MAX_TRIES", 3)
+        with pytest.raises(RuntimeError, match="3 tries"):
+            xc.random_nonsingular_rectangle(5, 3, np.random.default_rng(0))
 
 
 class TestRandomBalancedNonsingular:
