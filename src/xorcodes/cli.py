@@ -63,8 +63,18 @@ def _manifest_line(args, master_seed, inputs, outputs) -> str:
 def _emit(path: str, text: str) -> None:
     if path == "-":
         sys.stdout.write(text)
-    else:
+        return
+    try:
         Path(path).write_text(text)
+    except OSError as e:
+        raise _CliError(f"cannot write {path}: {e.strerror or e}")
+
+
+def _check_outputs(args) -> None:
+    """Refuse an --out* path whose directory is missing, before any work."""
+    for key, path in vars(args).items():
+        if key.startswith("out") and path != "-" and not Path(path).parent.is_dir():
+            raise _CliError(f"cannot write {path}: no directory {Path(path).parent}")
 
 
 def _read_matrix(path: str):
@@ -247,6 +257,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        _check_outputs(args)
         return args.func(args)
     except (_CliError, ValueError, RuntimeError) as e:
         print(f"error: {e}", file=sys.stderr)

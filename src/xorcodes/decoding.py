@@ -3,9 +3,10 @@
 The central object is the decoding vector of an [n, k] generator matrix:
 entry i is the probability that a uniformly random set of k+i received
 columns has full rank k, i.e. that the k source packets are recoverable
-from k+i survivors.  Entries are computed exactly (integer subset counts)
-when the binomials involved are small enough, and estimated by uniform
-subset sampling otherwise.  A full-rank high-rate code (0 < n - k < k) is
+from k+i survivors.  One pass walks the entries in order and counts each
+with one counter: exactly (integer subset counts) when its binomial is
+small enough, otherwise by uniform subset sampling, drawn in that order
+from one generator.  A full-rank high-rate code (0 < n - k < k) is
 counted on its dual: a column set spans F_2^k exactly when the other
 columns of the parity-check matrix are independent, so every rank is
 taken over n - k rows instead of k.  The subset index table of every
@@ -208,78 +209,67 @@ def _rank_space(G: BinaryMatrix) -> tuple[np.ndarray, int, bool] | None:
     return pack_columns(G.array), k, False
 
 
-def _count_full_rank(space, sizes) -> dict[int, int]:
-    """Exact number of full-rank column subsets of each requested size.
+def _count_full_rank(space, m: int, draws=None) -> int:
+    """Number of full-rank m-subsets among all C(n, m), or among those ``draws`` samples.
 
-    ``space`` is :func:`_rank_space` of the generator; on the dual, an
-    m-subset is full rank when its complementary (n - m)-subset is independent.
+    ``space`` is :func:`_rank_space` of the generator.  Without ``draws``
+    every subset is ranked, in :func:`_comb_chunks` blocks; ``draws`` yields
+    (rows, n) blocks of iid uniforms, each row sampling the m-subset of its
+    m smallest values.  On the dual an m-subset is full rank when its
+    complementary (n - m)-subset is independent, so the complements are
+    ranked.  A None space (rank(G) < k) ranks nothing, but still takes the
+    draws, so that a shared generator moves on identically.
     """
-    counts = dict.fromkeys(sizes, 0)
     if space is None:
-        return counts
+        for _ in draws or ():
+            pass
+        return 0
     packed, rows, dual = space
     n = packed.shape[0]
-    for m in counts:
-        j = n - m if dual else m
-        full = j if dual else rows
-        for block in _comb_chunks(n, j):
-            counts[m] += int((rank_batch(packed[block], rows) == full).sum())
-    return counts
-
-
-def _sample_full_rank(space, n: int, m: int, samples: int, gen) -> int:
-    """Number of full-rank sets among ``samples`` uniform m-subsets of the n columns.
-
-    The draws are the same whatever ``space`` is, so a shared ``gen`` moves
-    on identically; a None space (rank(G) < k) ranks nothing.
-    """
-    hits = 0
-    for done in range(0, samples, _SAMPLE_CHUNK):
-        draws = gen.random((min(_SAMPLE_CHUNK, samples - done), n))
-        if space is None:
-            continue
-        packed, rows, dual = space
-        # uniform m-subsets: the m smallest of n iid uniforms; the dual ranks the rest
-        order = np.argpartition(draws, m, axis=1)
-        sel = order[:, m:] if dual else order[:, :m]
-        hits += int((rank_batch(packed[sel], rows) == (n - m if dual else rows)).sum())
-    return hits
+    j = n - m if dual else m
+    full = j if dual else rows
+    if draws is None:
+        blocks = _comb_chunks(n, j)
+    else:
+        side = np.s_[:, m:] if dual else np.s_[:, :m]
+        blocks = (np.argpartition(d, m, axis=1)[side] for d in draws)
+    return sum(int((rank_batch(packed[b], rows) == full).sum()) for b in blocks)
 
 
 def _counted_vd(G: BinaryMatrix, max_subsets: int, samples_per_entry=None,
                 gen=None) -> DecodingVector:
-    """Count every entry: enumerate it when C(n, m) <= ``max_subsets``, else sample it.
+    """Count each entry m = k..n in turn through :func:`_count_full_rank`.
 
-    Without ``samples_per_entry`` an oversized entry is an error, raised
-    before any subset is ranked.
+    An entry is enumerated when C(n, m) <= ``max_subsets`` and otherwise
+    sampled from ``samples_per_entry`` draws of ``gen``, so the draws follow
+    the order of m.  Without ``samples_per_entry`` an oversized entry is an
+    error, raised before any subset is ranked; C(n, m) over m >= k peaks at
+    m = max(k, n // 2), so that one binomial decides it.
     """
-    if G.rows > G.cols:
-        raise ValueError(f"generator must have k <= n, got {G.rows}x{G.cols}")
+    k, n = G.shape
+    if k > n:
+        raise ValueError(f"generator must have k <= n, got {k}x{n}")
     if max_subsets < 1:
         raise ValueError(f"max_subsets must be >= 1, got {max_subsets}")
-    k, n = G.rows, G.cols
-    binomials = {m: math.comb(n, m) for m in range(k, n + 1)}
-    if samples_per_entry is None:
-        for m, t in binomials.items():
-            if t > max_subsets:
-                raise ValueError(
-                    f"C({n},{m}) = {t} exceeds the enumeration limit {max_subsets}; "
-                    "estimate it by sampling (sampled_vd, or --samples N)"
-                )
+    widest = max(k, n // 2)
+    if samples_per_entry is None and math.comb(n, widest) > max_subsets:
+        raise ValueError(
+            f"C({n},{widest}) = {math.comb(n, widest)} exceeds the enumeration limit "
+            f"{max_subsets}; estimate it by sampling (sampled_vd, or --samples N)"
+        )
     space = _rank_space(G)
-    exact = _count_full_rank(space, [m for m, t in binomials.items() if t <= max_subsets])
-    counts, totals, samples = [], [], []
-    for m, t in binomials.items():
-        if m in exact:
-            counts.append(exact[m])
-            totals.append(t)
-            samples.append(0)
+    entries = []
+    for m in range(k, n + 1):
+        t = math.comb(n, m)
+        if t <= max_subsets:
+            entries.append((_count_full_rank(space, m), t, 0))
         else:
-            counts.append(_sample_full_rank(space, n, m, samples_per_entry, gen))
-            totals.append(samples_per_entry)
-            samples.append(samples_per_entry)
-    rho = [c / t for c, t in zip(counts, totals)]
-    return DecodingVector(n, k, rho, counts, totals, samples)
+            draws = (gen.random((min(_SAMPLE_CHUNK, samples_per_entry - done), n))
+                     for done in range(0, samples_per_entry, _SAMPLE_CHUNK))
+            entries.append((_count_full_rank(space, m, draws), samples_per_entry,
+                            samples_per_entry))
+    counts, totals, samples = zip(*entries)
+    return DecodingVector(n, k, [c / t for c, t in zip(counts, totals)], counts, totals, samples)
 
 
 def exact_vd(G: BinaryMatrix, max_subsets: int = EXACT_ENUMERATION_LIMIT) -> DecodingVector:

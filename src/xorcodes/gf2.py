@@ -50,15 +50,14 @@ class BinaryMatrix:
     __slots__ = ("_a",)
 
     def __init__(self, array):
-        a = np.asarray(array, dtype=np.uint8)
-        if a.ndim != 2:
-            raise ValueError(f"expected a 2-d array, got {a.ndim}-d")
-        if a.shape[0] < 1 or a.shape[1] < 1:
-            raise ValueError(f"matrix must have at least one row and column, got {a.shape}")
         x = np.asarray(array)
+        if x.ndim != 2:
+            raise ValueError(f"expected a 2-d array, got {x.ndim}-d")
+        if x.shape[0] < 1 or x.shape[1] < 1:
+            raise ValueError(f"matrix must have at least one row and column, got {x.shape}")
         if not ((x == 0) | (x == 1)).all():
             raise ValueError("matrix entries must be 0 or 1")
-        a = a.copy()
+        a = x.astype(np.uint8)
         a.flags.writeable = False
         self._a = a
 

@@ -20,7 +20,6 @@ __all__ = [
     "incidence_matrix",
     "random_nonsingular_rectangle",
     "random_balanced_nonsingular",
-    "format_rectangle",
     "parse_rectangle",
 ]
 
@@ -183,15 +182,6 @@ def random_nonsingular_rectangle(k: int, k1: int, rng) -> LatinRectangle:
 def random_balanced_nonsingular(k: int, k1: int, rng) -> BinaryMatrix:
     """Nonsingular k x k incidence matrix of a random k1 x k Latin rectangle."""
     return incidence_matrix(random_nonsingular_rectangle(k, k1, rng))
-
-
-def format_rectangle(R: LatinRectangle) -> str:
-    """Serialize as "k1 k" followed by k1 space-separated symbol rows."""
-    cells = R.cells
-    lines = [f"{cells.shape[0]} {cells.shape[1]}"]
-    for row in cells:
-        lines.append(" ".join(str(int(s)) for s in row))
-    return "\n".join(lines) + "\n"
 
 
 def parse_rectangle(text: str) -> LatinRectangle:

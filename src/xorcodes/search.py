@@ -124,12 +124,6 @@ def init_balanced(cfg: SearchConfig, rng) -> CodeCandidate:
     return CodeCandidate(G, vd, score, prov)
 
 
-def _mutable_positions(cfg: SearchConfig, algorithm: int) -> int:
-    if algorithm == 1:
-        return cfg.k * cfg.n
-    return cfg.k * (cfg.n - cfg.k - 1)
-
-
 def neighbor(c: CodeCandidate, cfg: SearchConfig, rng) -> CodeCandidate:
     """Flip exactly one bit of the mutable region and re-evaluate.
 
@@ -137,15 +131,13 @@ def neighbor(c: CodeCandidate, cfg: SearchConfig, rng) -> CodeCandidate:
     lands in the random tail only.
     """
     gen = np.random.default_rng(rng)
-    algorithm = c.provenance.get("algorithm", 1)
-    count = _mutable_positions(cfg, algorithm)
+    first = 0 if c.provenance.get("algorithm", 1) == 1 else cfg.k + 1
+    count = cfg.k * (cfg.n - first)
     if count == 0:
         raise ValueError("no mutable positions: the random tail is empty")
     idx = int(gen.integers(0, count))
-    row = idx % cfg.k
-    col = idx // cfg.k if algorithm == 1 else cfg.k + 1 + idx // cfg.k
     a = c.G.to_array()
-    a[row, col] ^= 1
+    a[idx % cfg.k, first + idx // cfg.k] ^= 1
     G = BinaryMatrix(a)
     vd, score = _evaluate(G, cfg, gen)
     return CodeCandidate(G, vd, score, dict(c.provenance))

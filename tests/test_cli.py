@@ -1,4 +1,6 @@
 import argparse
+import hashlib
+import shutil
 
 import numpy as np
 import pytest
@@ -97,6 +99,18 @@ class TestEval:
         for step in ("-0.1", "nan", "5e-324", "1e-9"):
             code, _, err = run(capsys, "eval", GOLDEN, "--p-step", step)
             assert code == 2 and "p-step" in err
+
+    def test_missing_output_directory_refused_before_the_vector(self, capsys, tmp_path):
+        vd_path, bad = tmp_path / "vd.csv", str(tmp_path / "missing" / "sweep.csv")
+        code, _, err = run(capsys, "eval", GOLDEN, "--out-vd", str(vd_path), "--out-sweep", bad)
+        assert code == 2 and err.startswith(f"error: cannot write {bad}")
+        assert not vd_path.exists()
+
+    def test_unwritable_output_reported(self, capsys, tmp_path):
+        # the directory exists, but the path names a directory, not a file
+        code, _, err = run(capsys, "eval", GOLDEN, "--out-vd", str(tmp_path),
+                           "--out-sweep", "/dev/null")
+        assert code == 2 and err.startswith(f"error: cannot write {tmp_path}")
 
     def test_bad_grid_refused_before_the_vector(self, capsys, monkeypatch):
         def no_vector(*args, **kwargs):
@@ -201,6 +215,17 @@ class TestSearch:
         code, _, err = run(capsys, "search", "--n", "6", "--k", "5")
         assert code == 2
         assert "first k + 1" in err and "--algorithm 1" in err
+
+    def test_missing_output_directory_refused_before_the_search(self, capsys, monkeypatch,
+                                                               tmp_path):
+        def no_search(*args, **kwargs):
+            raise AssertionError("the search ran")
+
+        monkeypatch.setattr("xorcodes.cli.search_family", no_search)
+        bad = str(tmp_path / "missing" / "family.txt")
+        code, _, err = run(capsys, "search", "--n", "13", "--k", "5", "--attempts", "60",
+                           "--out", bad)
+        assert code == 2 and bad in err
 
     def test_algorithm_one(self, capsys, tmp_path):
         out_path = tmp_path / "family.txt"
@@ -308,3 +333,50 @@ class TestManifest:
         assert main(argv) == 0
         assert vd_path.read_bytes() == first
         capsys.readouterr()
+
+
+class TestPinnedOutputs:
+    # SHA-256 of each command's stdout and of each file it writes, manifests
+    # included; a change that keeps counts and draws identical leaves them as they are
+    DIGESTS = {
+        "eval-13-5": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "eval-20-5": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "eval-16-12": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "search": "c06f962298df29c7c273c5c752ef34124fe61ec233074be7c11c2edfcbd38d0d",
+        "simulate": "b7f96ed920e5573cd9fde256091fc3d1e07586f834c352b67b33d89574135c12",
+        "a.csv": "8f23595773269a68deea0cc88ea0fefded75eaabb5ce4ba346ccb6ac84ad84c0",
+        "b.csv": "c78f1070a317a73ebcc142eb7bfc133d060e04146a7c2d1e10e5a226f55304ac",
+        "c.csv": "4b258a3328f015f501fd846bb3caa089dbd4f4817d5df9c992ede5ac45c1d432",
+        "d.csv": "1c7a46c6d8c677d190b1a730d3b29c045295a918c24dd2000d39989805f13b2b",
+        "e.csv": "b115a907f06f207fb2b811af0e30fef9c672ac3087b2cd097e7e7c6738b42bc4",
+        "f.csv": "9a07a7c61bbcf23ba95495b16c2f3215bac454926413acbc8733db70b5392b36",
+        "g.txt": "fc5a4104bea2abe1423e14805677c251061bbb47a55f3c4ecb63bd6d52224301",
+    }
+
+    def test_outputs_byte_identical(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        shutil.copy(GOLDEN, "g_13_5.txt")
+        # [20,5] with entries m = 7..13 sampled between enumerated ones
+        (tmp_path / "g_20_5.txt").write_text(
+            xc.format_matrix(xc.random_matrix(5, 20, np.random.default_rng(12))))
+        # a full-rank [16,12], counted on its 4-row dual
+        (tmp_path / "g_16_12.txt").write_text(
+            xc.format_matrix(xc.random_matrix(12, 16, np.random.default_rng(0))))
+        runs = {
+            "eval-13-5": ["eval", "g_13_5.txt", "--out-vd", "a.csv", "--out-sweep", "b.csv"],
+            "eval-20-5": ["eval", "g_20_5.txt", "--samples", "300", "--max-subsets", "50000",
+                          "--seed", "9", "--out-vd", "c.csv", "--out-sweep", "d.csv"],
+            "eval-16-12": ["eval", "g_16_12.txt", "--samples", "200", "--max-subsets", "100",
+                           "--seed", "4", "--out-vd", "e.csv", "--out-sweep", "f.csv"],
+            "search": ["search", "--n", "9", "--k", "4", "--attempts", "5", "--seed", "3",
+                       "--out", "g.txt"],
+            "simulate": ["simulate", "g_13_5.txt", "--p", "0.1", "--trials", "20000",
+                         "--seed", "3"],
+        }
+        got = {}
+        for name, argv in runs.items():
+            assert main(argv) == 0
+            got[name] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        for path in sorted(tmp_path.glob("?.*")):
+            got[path.name] = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert got == self.DIGESTS

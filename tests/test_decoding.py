@@ -124,7 +124,8 @@ class TestExactVd:
             xc.exact_vd(G, max_subsets=1000)
 
     def test_partial_sizes_count_only_those_sizes(self, g135):
-        counts = _count_full_rank(_rank_space(g135), [5, 8, 13])
+        space = _rank_space(g135)
+        counts = {m: _count_full_rank(space, m) for m in [5, 8, 13]}
         assert counts == {5: 792, 8: 1284, 13: 1}
 
     @settings(max_examples=40, derandomize=True, deadline=None)
@@ -136,7 +137,8 @@ class TestExactVd:
                          label="bits")
         G = xc.BinaryMatrix(np.array(bits, dtype=np.uint8).reshape(k, n))
         sizes = data.draw(st.sets(st.integers(k, n), min_size=1), label="sizes")
-        assert _count_full_rank(_rank_space(G), sizes) == brute_force_counts(G, sizes)
+        space = _rank_space(G)
+        assert {m: _count_full_rank(space, m) for m in sizes} == brute_force_counts(G, sizes)
 
     @settings(max_examples=40, derandomize=True, deadline=None)
     @given(high_rate_codes())

@@ -37,7 +37,8 @@ class TestBinaryMatrix:
         assert M.array.dtype == np.uint8
 
     def test_rejects_non_binary(self):
-        for entries in ([[0, 2], [1, 0]], [["0", "1"]], [[0.5, 1]], [[1, 2.0]]):
+        for entries in ([[0, 2], [1, 0]], [["0", "1"]], [[0.5, 1]], [[1, 2.0]],
+                        [[0, -1]], [[0, 256]], [[0, 1e300]]):
             with pytest.raises(ValueError, match="0 or 1"):
                 xc.BinaryMatrix(entries)
 

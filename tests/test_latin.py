@@ -1,7 +1,5 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import xorcodes as xc
 from xorcodes import latin
@@ -178,28 +176,6 @@ class TestRandomBalancedNonsingular:
 
 
 class TestRectangleText:
-    def test_format(self, square5):
-        R = xc.top_rectangle(square5, 2)
-        text = xc.format_rectangle(R)
-        lines = text.splitlines()
-        assert lines[0] == "2 5"
-        assert lines[1] == "1 4 3 5 2"
-
-    @pytest.mark.parametrize("seed", range(4))
-    def test_round_trip(self, seed):
-        rng = np.random.default_rng(seed)
-        k = int(rng.integers(2, 9))
-        R = xc.top_rectangle(xc.random_latin_square(k, rng), int(rng.integers(1, k + 1)))
-        assert xc.parse_rectangle(xc.format_rectangle(R)) == R
-
-    @settings(max_examples=40, derandomize=True, deadline=None)
-    @given(st.data())
-    def test_round_trip_property(self, data):
-        k = data.draw(st.integers(1, 8), label="k")
-        L = xc.random_latin_square(k, data.draw(st.integers(0, 2**32 - 1), label="seed"))
-        R = xc.top_rectangle(L, data.draw(st.integers(1, k), label="k1"))
-        assert xc.parse_rectangle(xc.format_rectangle(R)) == R
-
     @pytest.mark.parametrize("text,lineno", [
         ("", 1),
         ("2\n", 1),
