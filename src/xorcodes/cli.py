@@ -71,9 +71,13 @@ def _emit(path: str, text: str) -> None:
 
 
 def _check_outputs(args) -> None:
-    """Refuse an --out* path whose directory is missing, before any work."""
+    """Refuse an --out* path that is a directory or whose directory is missing, before any work."""
     for key, path in vars(args).items():
-        if key.startswith("out") and path != "-" and not Path(path).parent.is_dir():
+        if not key.startswith("out") or path == "-":
+            continue
+        if Path(path).is_dir():
+            raise _CliError(f"cannot write {path}: it is a directory")
+        if not Path(path).parent.is_dir():
             raise _CliError(f"cannot write {path}: no directory {Path(path).parent}")
 
 

@@ -370,23 +370,31 @@ def is_mds(vd: DecodingVector) -> bool:
 def _distinct_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Distinct rows of a 2-d bool array, in no set order, and how often each occurs.
 
-    Rows are packed into zero-padded uint64 limbs and sorted on them limb
-    by limb, so equal rows end up adjacent; a row starts a new group where
-    it differs from the one before it.  Only the passes after the first
-    must be stable, and the first, unstable one is the fastest numpy sort.
+    A row of up to 64 columns is packed into one zero-padded key in the
+    narrowest word of at least 16 bits that holds it (numpy sorts uint8 over
+    ten times slower than uint16; a wider word only adds padding), and one
+    ``np.sort`` puts equal keys side by side.  Wider rows take several uint64
+    limbs, sorted limb by limb with ``argsort``: only the passes after the
+    first must be stable.  A group starts where a key differs from the one
+    before it, and its row is read back from the key.
     """
     c, n = a.shape
-    padded = np.zeros((c, -(-n // 64) * 64), dtype=bool)
+    bits = 16 if n <= 16 else 32 if n <= 32 else 64
+    padded = np.zeros((c, -(-n // bits) * bits), dtype=bool)
     padded[:, :n] = a
-    limbs = np.packbits(padded).view(np.uint64).reshape(c, -1)
-    order = np.argsort(limbs[:, 0])
-    for limb in limbs.T[1:]:
-        order = order[np.argsort(limb[order], kind="stable")]
-    limbs = limbs[order]
+    keys = np.packbits(padded).view(f"u{bits // 8}").reshape(c, -1)
+    if keys.shape[1] == 1:
+        keys = np.sort(keys, axis=0)
+    else:
+        order = np.argsort(keys[:, 0])
+        for limb in keys.T[1:]:
+            order = order[np.argsort(limb[order], kind="stable")]
+        keys = keys[order]
     new = np.ones(c, dtype=bool)
-    new[1:] = (limbs[1:] != limbs[:-1]).any(axis=1)
+    new[1:] = (keys[1:] != keys[:-1]).any(axis=1)
     starts = np.flatnonzero(new)
-    return a[order[starts]], np.diff(starts, append=c)
+    rows = np.unpackbits(keys[starts].view(np.uint8), axis=1, count=n).view(bool)
+    return rows, np.diff(starts, append=c)
 
 
 def simulate_ps(G: BinaryMatrix, p: float, trials: int, rng) -> SimulationResult:
@@ -397,8 +405,10 @@ def simulate_ps(G: BinaryMatrix, p: float, trials: int, rng) -> SimulationResult
     parity-check matrix are independent).  Trials are drawn in chunks
     whose memory is bounded by a byte budget, not by a trial count, and
     each distinct erasure pattern in a chunk is ranked once, its success
-    weighted by how often it was drawn.  Deterministic for a fixed seed,
-    whatever the chunking, since the draws fill row by row.
+    weighted by how often it was drawn.  The patterns are grouped by one
+    sort of packed keys (uint16, uint32 or uint64 for n up to 16, 32 or
+    64; see ``_distinct_rows``).  Deterministic for a fixed seed, whatever
+    the chunking, since the draws fill row by row.
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"erasure probability must be in [0, 1], got {p}")

@@ -20,7 +20,6 @@ __all__ = [
     "incidence_matrix",
     "random_nonsingular_rectangle",
     "random_balanced_nonsingular",
-    "parse_rectangle",
 ]
 
 
@@ -182,25 +181,3 @@ def random_nonsingular_rectangle(k: int, k1: int, rng) -> LatinRectangle:
 def random_balanced_nonsingular(k: int, k1: int, rng) -> BinaryMatrix:
     """Nonsingular k x k incidence matrix of a random k1 x k Latin rectangle."""
     return incidence_matrix(random_nonsingular_rectangle(k, k1, rng))
-
-
-def parse_rectangle(text: str) -> LatinRectangle:
-    """Parse the rectangle serialization; errors name the offending line."""
-    lines = text.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    if not lines:
-        raise ValueError("line 1: empty input, expected header 'k1 k'")
-    head = lines[0].split(" ")
-    if len(head) != 2 or not all(t.isascii() and t.isdigit() for t in head):
-        raise ValueError(f"line 1: expected header 'k1 k', got {lines[0]!r}")
-    k1, k = int(head[0]), int(head[1])
-    if len(lines) - 1 != k1:
-        raise ValueError(f"line {len(lines) + 1}: expected {k1} rows, found {len(lines) - 1}")
-    rows = []
-    for i, line in enumerate(lines[1:]):
-        toks = line.split(" ")
-        if len(toks) != k or not all(t.isascii() and t.isdigit() for t in toks):
-            raise ValueError(f"line {i + 2}: expected {k} space-separated symbols, got {line!r}")
-        rows.append([int(t) for t in toks])
-    return LatinRectangle(rows)

@@ -1,6 +1,7 @@
 import argparse
 import hashlib
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -105,6 +106,18 @@ class TestEval:
         code, _, err = run(capsys, "eval", GOLDEN, "--out-vd", str(vd_path), "--out-sweep", bad)
         assert code == 2 and err.startswith(f"error: cannot write {bad}")
         assert not vd_path.exists()
+
+    def test_directory_output_refused_before_the_vector(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "d").mkdir()
+        code, _, err = run(capsys, "eval", GOLDEN, "--out-vd", "vd.csv", "--out-sweep", "d")
+        assert code == 2 and err == "error: cannot write d: it is a directory\n"
+        assert not (tmp_path / "vd.csv").exists()
+
+    @pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs a device that refuses writes")
+    def test_failed_write_reported(self, capsys):
+        code, _, err = run(capsys, "eval", GOLDEN, "--out-vd", "/dev/full", "--out-sweep", "-")
+        assert code == 2 and err.startswith("error: cannot write /dev/full")
 
     def test_unwritable_output_reported(self, capsys, tmp_path):
         # the directory exists, but the path names a directory, not a file

@@ -451,6 +451,8 @@ class TestSimulatePs:
         (xc.random_matrix(5, 13, np.random.default_rng(2)), 0.3),  # primal
         (high_rate_96(), 0.25),  # dual
         (repeated_last_row(6, 9, 3), 0.1),  # rank deficient
+        (xc.random_matrix(12, 24, np.random.default_rng(4)), 0.05),  # primal, uint32 keys
+        (xc.random_matrix(64, 70, np.random.default_rng(5)), 0.01),  # dual, two uint64 limbs
     ])
     def test_multi_chunk_trials_recount_on_the_generator(self, G, p):
         k, n = G.shape
@@ -477,7 +479,8 @@ class TestDistinctRows:
     @settings(max_examples=60, derandomize=True, deadline=None)
     @given(st.data())
     def test_groups_equal_rows(self, data):
-        n = data.draw(st.sampled_from([1, 7, 8, 13, 64, 65, 108]), label="n")
+        n = data.draw(st.sampled_from([1, 7, 8, 13, 15, 16, 17, 32, 33, 63, 64, 65, 108]),
+                      label="n")
         base = data.draw(st.lists(st.lists(st.booleans(), min_size=n, max_size=n),
                                   min_size=1, max_size=4), label="base")
         pool = []
@@ -490,7 +493,9 @@ class TestDistinctRows:
         picks = data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=40),
                           label="picks")
         a = np.array([pool[i] for i in picks], dtype=bool).reshape(len(picks), n)
+        before = a.copy()
         reps, weight = _distinct_rows(a)
+        assert np.array_equal(a, before)
         keys = [r.tobytes() for r in reps]
         assert reps.dtype == bool and reps.shape[1] == n
         assert len(set(keys)) == len(keys)

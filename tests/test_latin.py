@@ -173,22 +173,3 @@ class TestRandomBalancedNonsingular:
         assert (M.array.sum(axis=0) == k1).all()
         assert (M.array.sum(axis=1) == k1).all()
         assert xc.is_nonsingular(M)
-
-
-class TestRectangleText:
-    @pytest.mark.parametrize("text,lineno", [
-        ("", 1),
-        ("2\n", 1),
-        ("2 3\n1 2 3\n", 3),
-        ("1 3\n1 2\n", 2),
-        ("1 3\n1 x 3\n", 2),
-    ])
-    def test_parse_errors_name_line(self, text, lineno):
-        with pytest.raises(ValueError, match=f"line {lineno}"):
-            xc.parse_rectangle(text)
-
-    def test_numbers_take_ascii_digits_only(self):
-        with pytest.raises(ValueError, match="line 1: expected header"):
-            xc.parse_rectangle("1 \u00b3\n1 2 3\n")
-        with pytest.raises(ValueError, match="line 2: expected 3"):
-            xc.parse_rectangle("1 3\n1 \u00b2 3\n")
