@@ -111,11 +111,22 @@ def _vd_for(G, samples, seed, max_subsets):
 
 
 def _emit_vd_and_sweep(args, vd, grid, master_seed, inputs) -> int:
-    """Write the vector CSV and its channel sweep over the --p-* grid."""
+    """Write the vector CSV and its channel sweep over the --p-* grid.
+
+    If the sweep cannot be written, the vector file just written is removed,
+    so that a failed command leaves no half result.  Only a regular file
+    goes: stdout, a device or a symlink named by --out-vd is left alone.
+    """
     sweep = channel_sweep(vd, grid)
     head = _manifest_line(args, master_seed, inputs, [args.out_vd, args.out_sweep])
     _emit(args.out_vd, head + vd_csv(vd))
-    _emit(args.out_sweep, head + sweep_csv(sweep))
+    try:
+        _emit(args.out_sweep, head + sweep_csv(sweep))
+    except _CliError:
+        written = Path(args.out_vd)
+        if args.out_vd != "-" and written.is_file() and not written.is_symlink():
+            written.unlink()
+        raise
     return 0
 
 

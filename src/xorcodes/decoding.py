@@ -3,17 +3,20 @@
 The central object is the decoding vector of an [n, k] generator matrix:
 entry i is the probability that a uniformly random set of k+i received
 columns has full rank k, i.e. that the k source packets are recoverable
-from k+i survivors.  One pass walks the entries in order and counts each
-with one counter: exactly (integer subset counts) when its binomial is
-small enough, otherwise by uniform subset sampling, drawn in that order
-from one generator.  A full-rank high-rate code (0 < n - k < k) is
-counted on its dual: a column set spans F_2^k exactly when the other
-columns of the parity-check matrix are independent, so every rank is
-taken over n - k rows instead of k.  The subset index table of every
-enumeration that fits one block is built once per process and reused,
-since a search scores thousands of codes of one length; a length keeps at
-most n + 1 such tables, each no larger than one streamed block, and larger
-enumerations are streamed and never kept.  On top of that sit the
+from k+i survivors.  An entry is counted exactly (integer subset counts)
+when its binomial is small enough, otherwise by uniform subset sampling,
+the sampled entries drawn in order from one generator.  A full-rank
+high-rate code (0 < n - k < k) is counted on its dual: a column set spans
+F_2^k exactly when the other columns of the parity-check matrix are
+independent, so every rank is taken over n - k rows instead of k.  All
+enumerated entries are ranked together, in blocks of up to 65,536 subsets
+that may mix sizes: each column is one word (uint8 for up to 8 rows), and
+a block is gathered in one dimension and ranked in one batch call, so a
+[13,5] vector is one call.  The intp subset index table of every size
+that fits one block is built once per process and reused, since a search
+scores thousands of codes of one length; a length keeps at most n + 1
+such tables, each no larger than one block, and larger sizes stream as
+int32 blocks that are never kept.  On top of that sit the
 erasure-channel success probability, the analytic random-linear-code
 baseline, the MDS predicate, and a Monte Carlo channel simulator used as
 an empirical cross-check.
@@ -161,33 +164,47 @@ class SimulationResult:
 
 
 @functools.cache
-def _comb_table(n: int, m: int) -> np.ndarray:
-    """All m-subsets of range(n) as one read-only (C(n, m), m) int32 array, in order."""
-    table = np.fromiter(itertools.chain.from_iterable(itertools.combinations(range(n), m)),
-                        dtype=np.int32).reshape(math.comb(n, m), m)
+def _comb_table(n: int, j: int) -> np.ndarray:
+    """All j-subsets of range(n) as one read-only (j, C(n, j)) intp table, kept per process.
+
+    Column c is the c-th subset in lexicographic order, so row i (the i-th
+    member of every subset) is contiguous and ``col[table]`` is a 1-d
+    gather.  j = 0 gives the (0, 1) empty subset.
+    """
+    total = math.comb(n, j)
+    table = np.fromiter(itertools.chain.from_iterable(itertools.combinations(range(n), j)),
+                        dtype=np.intp, count=total * j).reshape(total, j).T.copy()
     table.flags.writeable = False
     return table
 
 
-def _comb_chunks(n: int, m: int):
-    """Yield (rows, m) index arrays covering all m-subsets of range(n) in order.
+def _subset_blocks(n: int, sizes):
+    """Yield the j-subsets of range(n), for each j in ``sizes``, in blocks of at most ``_CHUNK``.
 
-    The indices depend only on (n, m), so an enumeration that fits one
-    ``_CHUNK`` block is yielded as its memoised :func:`_comb_table`, and a
-    search that scores thousands of codes of one length builds each table
-    once.  A length keeps at most n + 1 tables, each at most ``_CHUNK``
-    rows of m int32 (the size of one streamed block).  Larger enumerations
-    stream from ``itertools`` and are never kept.
+    A block is a list of (j, table) pairs, each table a (j, count) index
+    array of subsets in lexicographic order.  A size with C(n, j) <=
+    ``_CHUNK`` comes whole as its memoised :func:`_comb_table` (at most
+    n + 1 per length) and shares a block with the sizes before it while
+    they fit.  A larger size streams from ``itertools`` as transposed int32
+    blocks that are never kept (intp would double their memory).
     """
-    if math.comb(n, m) <= _CHUNK:
-        yield _comb_table(n, m)
-        return
-    it = itertools.combinations(range(n), m)
-    while True:
-        block = np.fromiter(itertools.chain.from_iterable(itertools.islice(it, _CHUNK)),
-                            dtype=np.int32).reshape(-1, m)
-        if not block.size:
-            return
+    block, used = [], 0
+    for j in sizes:
+        total = math.comb(n, j)
+        if total > _CHUNK:
+            it = itertools.combinations(range(n), j)
+            for start in range(0, total, _CHUNK):
+                count = min(_CHUNK, total - start)
+                idx = np.fromiter(itertools.chain.from_iterable(itertools.islice(it, count)),
+                                  dtype=np.int32, count=count * j)
+                yield [(j, idx.reshape(count, j).T)]
+            continue
+        if used + total > _CHUNK:
+            yield block
+            block, used = [], 0
+        block.append((j, _comb_table(n, j)))
+        used += total
+    if block:
         yield block
 
 
@@ -209,11 +226,56 @@ def _rank_space(G: BinaryMatrix) -> tuple[np.ndarray, int, bool] | None:
     return pack_columns(G.array), k, False
 
 
-def _count_full_rank(space, m: int, draws=None) -> int:
-    """Number of full-rank m-subsets among all C(n, m), or among those ``draws`` samples.
+def _items(packed: np.ndarray, rows: int) -> np.ndarray:
+    """Packed (n, limbs) columns as n opaque items, so that a 1-d gather moves whole columns.
 
-    ``space`` is :func:`_rank_space` of the generator.  Without ``draws``
-    every subset is ranked, in :func:`_comb_chunks` blocks; ``draws`` yields
+    Up to 64 rows make one word of the narrowest unsigned type that holds
+    ``rows`` bits; more rows keep their uint64 limbs as one item.
+    """
+    words = packed.astype(np.min_scalar_type((1 << min(rows, 64)) - 1))
+    return words.view(f"V{words.itemsize * words.shape[1]}")[:, 0]
+
+
+def _as_sets(items: np.ndarray, limbs: int) -> np.ndarray:
+    """Gathered column items (..., m) as the (..., m, limbs) words :func:`rank_batch` reads."""
+    return items.view(f"u{items.itemsize // limbs}").reshape(*items.shape, limbs)
+
+
+def _count_enumerated(space, sizes) -> list[int]:
+    """Number of full-rank m-subsets among all C(n, m), for each m in ``sizes``.
+
+    ``space`` is :func:`_rank_space` of the generator.  Every subset of
+    every size is ranked, one :func:`_subset_blocks` block per
+    :func:`rank_batch` call.  A block is one zeroed (width, subsets) array
+    of column items, width its largest size: each size's table gathers
+    into its first j rows, and the zero columns below are inert.  On the
+    dual an m-subset is full rank when its complementary (n - m)-subset is
+    independent, so the complements are ranked and counted where their
+    rank is j = n - m; on the primal where it is the row count.  A None
+    space (rank(G) < k) ranks nothing.
+    """
+    if space is None:
+        return [0] * len(sizes)
+    packed, rows, dual = space
+    n, limbs = packed.shape
+    col = _items(packed, rows)
+    js = [n - m if dual else m for m in sizes]
+    counts = dict.fromkeys(js, 0)
+    for block in _subset_blocks(n, js):
+        bounds = [0, *itertools.accumulate(table.shape[1] for _, table in block)]
+        sets = np.zeros((max(j for j, _ in block), bounds[-1]), dtype=col.dtype)
+        for (j, table), a, b in zip(block, bounds, bounds[1:]):
+            sets[:j, a:b] = col[table]
+        ranks = rank_batch(_as_sets(sets, limbs).transpose(1, 0, 2), rows)
+        for (j, _), a, b in zip(block, bounds, bounds[1:]):
+            counts[j] += int((ranks[a:b] == (j if dual else rows)).sum())
+    return [counts[j] for j in js]
+
+
+def _count_full_rank(space, m: int, draws) -> int:
+    """Number of full-rank m-subsets among ``draws`` samples.
+
+    ``space`` is :func:`_rank_space` of the generator; ``draws`` yields
     (rows, n) blocks of iid uniforms, each row sampling the m-subset of its
     m smallest values.  On the dual an m-subset is full rank when its
     complementary (n - m)-subset is independent, so the complements are
@@ -221,30 +283,28 @@ def _count_full_rank(space, m: int, draws=None) -> int:
     draws, so that a shared generator moves on identically.
     """
     if space is None:
-        for _ in draws or ():
+        for _ in draws:
             pass
         return 0
     packed, rows, dual = space
-    n = packed.shape[0]
-    j = n - m if dual else m
-    full = j if dual else rows
-    if draws is None:
-        blocks = _comb_chunks(n, j)
-    else:
-        side = np.s_[:, m:] if dual else np.s_[:, :m]
-        blocks = (np.argpartition(d, m, axis=1)[side] for d in draws)
-    return sum(int((rank_batch(packed[b], rows) == full).sum()) for b in blocks)
+    col = _items(packed, rows)
+    side, full = (np.s_[:, m:], packed.shape[0] - m) if dual else (np.s_[:, :m], rows)
+    blocks = (col[np.argpartition(d, m, axis=1)[side]] for d in draws)
+    return sum(int((rank_batch(_as_sets(b, packed.shape[1]), rows) == full).sum())
+               for b in blocks)
 
 
 def _counted_vd(G: BinaryMatrix, max_subsets: int, samples_per_entry=None,
                 gen=None) -> DecodingVector:
-    """Count each entry m = k..n in turn through :func:`_count_full_rank`.
+    """Count every entry m = k..n: the enumerated ones in one pass, then the sampled ones in turn.
 
-    An entry is enumerated when C(n, m) <= ``max_subsets`` and otherwise
-    sampled from ``samples_per_entry`` draws of ``gen``, so the draws follow
-    the order of m.  Without ``samples_per_entry`` an oversized entry is an
-    error, raised before any subset is ranked; C(n, m) over m >= k peaks at
-    m = max(k, n // 2), so that one binomial decides it.
+    An entry is enumerated when C(n, m) <= ``max_subsets``; all of them are
+    counted together by :func:`_count_enumerated`, whose blocks may mix
+    entries.  The others are sampled from ``samples_per_entry`` draws of
+    ``gen`` through :func:`_count_full_rank`, in the order of m, so the
+    draws follow that order.  Without ``samples_per_entry`` an oversized
+    entry is an error, raised before any subset is ranked; C(n, m) over
+    m >= k peaks at m = max(k, n // 2), so that one binomial decides it.
     """
     k, n = G.shape
     if k > n:
@@ -258,17 +318,16 @@ def _counted_vd(G: BinaryMatrix, max_subsets: int, samples_per_entry=None,
             f"{max_subsets}; estimate it by sampling (sampled_vd, or --samples N)"
         )
     space = _rank_space(G)
-    entries = []
-    for m in range(k, n + 1):
-        t = math.comb(n, m)
-        if t <= max_subsets:
-            entries.append((_count_full_rank(space, m), t, 0))
-        else:
+    sizes = range(k, n + 1)
+    enumerated = [m for m in sizes if math.comb(n, m) <= max_subsets]
+    entries = {m: (c, math.comb(n, m), 0)
+               for m, c in zip(enumerated, _count_enumerated(space, enumerated))}
+    for m in sizes:
+        if m not in entries:
             draws = (gen.random((min(_SAMPLE_CHUNK, samples_per_entry - done), n))
                      for done in range(0, samples_per_entry, _SAMPLE_CHUNK))
-            entries.append((_count_full_rank(space, m, draws), samples_per_entry,
-                            samples_per_entry))
-    counts, totals, samples = zip(*entries)
+            entries[m] = (_count_full_rank(space, m, draws), samples_per_entry, samples_per_entry)
+    counts, totals, samples = zip(*(entries[m] for m in sizes))
     return DecodingVector(n, k, [c / t for c, t in zip(counts, totals)], counts, totals, samples)
 
 

@@ -5,12 +5,14 @@ The :class:`BinaryMatrix` value type holds only a frozen dense 0/1 array.
 (uint64 limbs, one bit per row) that the batch rank kernel reads.
 Single-matrix rank runs Gaussian elimination on rows packed into Python
 integers, so row XOR is word-wide regardless of width.  The batch kernel
-:func:`rank_batch` copies each block of collections to a (limbs, columns,
-collections) array in the narrowest unsigned word that holds k rows
-(uint8 up to 8 rows, uint16 up to 16, uint32 up to 32, else uint64 limbs)
-and, from the top limb down, clears the highest leading bit of every
-collection at once: the column with the largest top limb is the pivot,
-and each step is a handful of numpy reductions across contiguous rows.
+:func:`rank_batch` takes its columns in any unsigned word that holds k
+rows (several limbs are uint64), as any strided view.  It copies each
+block of collections to a (limbs, columns, collections) array in the
+narrowest unsigned word that holds k rows (uint8 up to 8 rows, uint16 up
+to 16, uint32 up to 32, else uint64 limbs) and, from the top limb down,
+clears the highest leading bit of every collection at once: the column
+with the largest top limb is the pivot, and each step is a handful of
+numpy reductions across contiguous rows.
 :func:`parity_check` gives a basis of the null space, whose columns
 decide the rank of a high-rate code's column sets by duality.
 All operations are pure; matrices are immutable once built.
@@ -205,12 +207,14 @@ def rank_batch(colsets: np.ndarray, k: int) -> np.ndarray:
     """Ranks of many column collections at once.
 
     ``colsets`` has shape (N, m, limbs): N independent collections of m
-    bit-packed uint64 columns over a k-row space (limbs = ceil(k/64), bit j
-    of limb j // 64 = row j).  Bits at rows k and above must be zero, as
-    :func:`pack_columns` leaves them; they are not checked.  Zero columns
-    are ignored, so collections of different sizes can share one padded
-    array; an empty collection has rank 0.  Raises ValueError when k rows
-    do not fit in the limbs.
+    bit-packed columns over a k-row space (limbs = ceil(k/64), bit j of
+    limb j // 64 = row j).  A single limb may be any unsigned word that
+    holds k bits, such as the uint64 of :func:`pack_columns` or a uint8
+    for k <= 8; several limbs are uint64.  Any strided view is accepted.
+    Bits at rows k and above must be zero, as :func:`pack_columns` leaves
+    them; they are not checked.  Zero columns are ignored, so collections
+    of different sizes can share one padded array; an empty collection has
+    rank 0.  Raises ValueError when k rows do not fit in the limbs.
 
     Collections are eliminated one block of about ``_BLOCK_BYTES`` input
     bytes at a time.  Each block is copied to a C-ordered (limbs, m, sets)
@@ -232,6 +236,9 @@ def rank_batch(colsets: np.ndarray, k: int) -> np.ndarray:
     N, m, limbs = colsets.shape
     if k > 64 * limbs:
         raise ValueError(f"k = {k} rows need {(k + 63) // 64} limbs of 64 bits, got limbs = {limbs}")
+    if colsets.dtype.kind != "u" or (limbs > 1 and colsets.dtype != np.uint64):
+        raise ValueError(f"columns must be one unsigned word or uint64 limbs, got "
+                         f"{limbs} limbs of {colsets.dtype}")
     ranks = np.zeros(N, dtype=np.int64)
     if not colsets.size:
         return ranks

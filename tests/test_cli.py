@@ -119,6 +119,14 @@ class TestEval:
         code, _, err = run(capsys, "eval", GOLDEN, "--out-vd", "/dev/full", "--out-sweep", "-")
         assert code == 2 and err.startswith("error: cannot write /dev/full")
 
+    @pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs a device that refuses writes")
+    def test_failed_sweep_write_removes_the_vector_file(self, capsys, tmp_path):
+        vd_path = tmp_path / "vd.csv"
+        code, _, err = run(capsys, "eval", GOLDEN, "--out-vd", str(vd_path),
+                           "--out-sweep", "/dev/full")
+        assert code == 2 and err.startswith("error: cannot write /dev/full")
+        assert not vd_path.exists() and Path("/dev/full").is_char_device()
+
     def test_unwritable_output_reported(self, capsys, tmp_path):
         # the directory exists, but the path names a directory, not a file
         code, _, err = run(capsys, "eval", GOLDEN, "--out-vd", str(tmp_path),

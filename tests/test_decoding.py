@@ -1,6 +1,7 @@
 import itertools
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,8 +10,8 @@ from hypothesis import strategies as st
 
 import xorcodes as xc
 from xorcodes import decoding
-from xorcodes.decoding import (_comb_chunks, _comb_table, _count_full_rank, _distinct_rows,
-                               _loss_term, _rank_space, format_float)
+from xorcodes.decoding import (_comb_table, _count_enumerated, _distinct_rows, _loss_term,
+                               _rank_space, _subset_blocks, format_float)
 from xorcodes.gf2 import rank_batch
 
 # frozen by independent naive enumeration of the shipped [13,5] matrix
@@ -125,7 +126,7 @@ class TestExactVd:
 
     def test_partial_sizes_count_only_those_sizes(self, g135):
         space = _rank_space(g135)
-        counts = {m: _count_full_rank(space, m) for m in [5, 8, 13]}
+        counts = dict(zip([5, 8, 13], _count_enumerated(space, [5, 8, 13])))
         assert counts == {5: 792, 8: 1284, 13: 1}
 
     @settings(max_examples=40, derandomize=True, deadline=None)
@@ -138,7 +139,8 @@ class TestExactVd:
         G = xc.BinaryMatrix(np.array(bits, dtype=np.uint8).reshape(k, n))
         sizes = data.draw(st.sets(st.integers(k, n), min_size=1), label="sizes")
         space = _rank_space(G)
-        assert {m: _count_full_rank(space, m) for m in sizes} == brute_force_counts(G, sizes)
+        counts = dict(zip(sizes, _count_enumerated(space, list(sizes))))
+        assert counts == brute_force_counts(G, sizes)
 
     @settings(max_examples=40, derandomize=True, deadline=None)
     @given(high_rate_codes())
@@ -190,25 +192,77 @@ class TestExactVd:
         xc.exact_vd(G)
         assert sum(ranked) == sum(math.comb(n, m) for m in range(k, n + 1))
 
-    def test_comb_chunks_yield_the_empty_subset(self):
-        [block] = _comb_chunks(5, 0)
-        assert block.shape == (1, 0) and block is next(_comb_chunks(5, 0))
+    def test_g135_ranks_every_entry_in_one_call(self, g135, monkeypatch):
+        shapes = []
 
-    def test_comb_chunks_reuse_one_read_only_table(self):
-        [a] = _comb_chunks(13, 5)
-        [b] = _comb_chunks(13, 5)
-        assert a is b and a.dtype == np.int32
-        assert a.tolist() == [list(c) for c in itertools.combinations(range(13), 5)]
+        def counting(colsets, rows):
+            shapes.append(colsets.shape)
+            return rank_batch(colsets, rows)
+
+        monkeypatch.setattr(decoding, "rank_batch", counting)
+        assert xc.exact_vd(g135).counts == COUNTS_13_5
+        assert shapes == [(7_099, 13, 1)]  # sum over m = 5..13 of C(13, m), padded to 13 columns
+
+    @settings(max_examples=80, derandomize=True, deadline=None)
+    @given(st.data())
+    def test_enumerated_counts_match_brute_force(self, data):
+        # primal, dual and rank-deficient codes; repeated and zero columns; sizes with gaps;
+        # small chunks split the sizes across blocks and stream them
+        k = data.draw(st.integers(1, 6), label="k")
+        n = data.draw(st.integers(k, 10), label="n")
+        r = data.draw(st.just(k) | st.integers(1, k), label="rank")  # rows r..k-1 are zero
+        rest = st.lists(st.integers(0, 2**r - 1), min_size=n - r, max_size=n - r)
+        cols = data.draw(st.permutations([1 << i for i in range(r)] + data.draw(rest)),
+                         label="cols")
+        G = xc.BinaryMatrix([[c >> i & 1 for c in cols] for i in range(k)])
+        assert xc.rank(G) == r
+        sizes = sorted(data.draw(st.sets(st.integers(k, n), min_size=1), label="sizes"),
+                       reverse=data.draw(st.booleans(), label="descending"))
+        chunk = data.draw(st.sampled_from([1, 3, 10, decoding._CHUNK]), label="chunk")
+        with mock.patch.object(decoding, "_CHUNK", chunk):
+            got = _count_enumerated(_rank_space(G), sizes)
+        assert dict(zip(sizes, got)) == brute_force_counts(G, sizes)
+
+    @pytest.mark.parametrize("k,n", [(65, 130), (66, 131)], ids=["primal-65", "dual-65"])
+    def test_two_limb_enumerated_entries_match_brute_force(self, k, n):
+        # rows k-2 and k-1 each have one column (0 and 70), so dropping either loses rank
+        a = xc.random_matrix(k, n, np.random.default_rng(k)).to_array()
+        a[k - 2:] = 0
+        a[k - 2, 0] = a[k - 1, 70] = 1
+        G = xc.BinaryMatrix(a)
+        packed, rows, dual = _rank_space(G)
+        assert rows == 65 and packed.shape == (n, 2) and dual == (n - k < k)
+        vd = xc.sampled_vd(G, 2, 0, max_subsets=n)  # only C(n, n - 1) and C(n, n) enumerated
+        assert vd.samples[-2:] == (0, 0) and set(vd.samples[:-2]) == {2}
+        assert vd.counts[-2:] == tuple(brute_force_counts(G, [n - 1, n]).values()) == (n - 2, 1)
+
+    def test_subset_blocks_yield_the_empty_subset(self):
+        [[(j, table)]] = _subset_blocks(5, [0])
+        assert j == 0 and table.shape == (0, 1) and table is _comb_table(5, 0)
+
+    def test_subset_blocks_reuse_one_read_only_table(self):
+        [[(_, a)]] = _subset_blocks(13, [5])
+        [[(_, b)]] = _subset_blocks(13, [5])
+        assert a is b and a.dtype == np.intp and a.shape == (5, 1287)
+        assert a.T.tolist() == [list(c) for c in itertools.combinations(range(13), 5)]
         with pytest.raises(ValueError):
             a[0, 0] = 1
 
-    def test_comb_chunks_stream_large_enumerations_unkept(self):
+    def test_subset_blocks_stream_large_enumerations_unkept(self):
         _comb_table.cache_clear()
-        blocks = list(_comb_chunks(44, 4))
-        assert [len(b) for b in blocks] == [65_536, 65_536, 4_679]
-        assert np.concatenate(blocks).tolist() == [
+        blocks = list(_subset_blocks(44, [4]))
+        assert [[(j, t.shape[1], t.dtype) for j, t in b] for b in blocks] == [
+            [(4, rows, np.int32)] for rows in (65_536, 65_536, 4_679)]
+        assert np.concatenate([t.T for [(_, t)] in blocks]).tolist() == [
             list(c) for c in itertools.combinations(range(44), 4)]
         assert _comb_table.cache_info().currsize == 0
+
+    def test_subset_blocks_share_blocks_up_to_the_chunk(self):
+        # C(13, 5..13) sums to 7,099; C(18, 9) + C(18, 8) = 48,620 + 43,758 exceeds 65,536
+        assert [[j for j, _ in b] for b in _subset_blocks(13, range(5, 14))] == [
+            list(range(5, 14))]
+        assert [[(j, t.shape[1]) for j, t in b] for b in _subset_blocks(18, [9, 8, 1, 0])] == [
+            [(9, 48_620)], [(8, 43_758), (1, 18), (0, 1)]]
 
     def test_rejects_zero_max_subsets(self, g135):
         with pytest.raises(ValueError, match="max_subsets"):

@@ -240,6 +240,22 @@ class TestRankBatch:
         assert got.tolist() == [xc.rank(m) for m in mats]
         assert len(set(got.tolist())) > 1
 
+    def test_narrow_word_view_ranks_as_uint64(self):
+        # a (width, N) uint8 block seen as (N, width, 1), the layout decoding hands in
+        rng = np.random.default_rng(13)
+        mats = [xc.random_matrix(5, 9, rng) for _ in range(300)]
+        wide = np.stack([pack_columns(m.array) for m in mats])
+        block = np.ascontiguousarray(wide[:, :, 0].T.astype(np.uint8))
+        view = block[None].transpose(2, 1, 0)
+        assert view.shape == wide.shape and not view.flags.c_contiguous
+        assert rank_batch(view, 5).tolist() == rank_batch(wide, 5).tolist() == [
+            xc.rank(m) for m in mats]
+
+    @pytest.mark.parametrize("dtype,limbs", [(np.int64, 1), (np.uint32, 2)])
+    def test_rejects_words_that_are_not_unsigned_limbs(self, dtype, limbs):
+        with pytest.raises(ValueError, match="unsigned word"):
+            rank_batch(np.zeros((2, 3, limbs), dtype=dtype), 5)
+
     def test_empty_collections_have_rank_zero(self):
         assert rank_batch(np.zeros((3, 0, 1), dtype=np.uint64), 5).tolist() == [0, 0, 0]
         assert rank_batch(np.zeros((0, 4, 2), dtype=np.uint64), 70).shape == (0,)
