@@ -71,7 +71,12 @@ def _emit(path: str, text: str) -> None:
 
 
 def _check_outputs(args) -> None:
-    """Refuse an --out* path that is a directory or whose directory is missing, before any work."""
+    """Refuse bad --out* paths before any work.
+
+    A path may not be a directory or lie in a missing one, and two may not
+    resolve to one regular file, where the second write would replace the first.
+    """
+    seen = {}
     for key, path in vars(args).items():
         if not key.startswith("out") or path == "-":
             continue
@@ -79,6 +84,13 @@ def _check_outputs(args) -> None:
             raise _CliError(f"cannot write {path}: it is a directory")
         if not Path(path).parent.is_dir():
             raise _CliError(f"cannot write {path}: no directory {Path(path).parent}")
+        if Path(path).exists() and not Path(path).is_file():
+            continue
+        flag = "--" + key.replace("_", "-")
+        other = seen.setdefault(Path(path).resolve(), flag)
+        if other != flag:
+            raise _CliError(f"{other} and {flag} both name {Path(path).resolve()}; "
+                            f"give each output its own file")
 
 
 def _read_matrix(path: str):

@@ -8,10 +8,12 @@ when its binomial is small enough, otherwise by uniform subset sampling,
 the sampled entries drawn in order from one generator.  A full-rank
 high-rate code (0 < n - k < k) is counted on its dual: a column set spans
 F_2^k exactly when the other columns of the parity-check matrix are
-independent, so every rank is taken over n - k rows instead of k.  All
-enumerated entries are ranked together, in blocks of up to 65,536 subsets
-that may mix sizes: each column is one word (uint8 for up to 8 rows), and
-a block is gathered in one dimension and ranked in one batch call, so a
+independent, so every rank is taken over n - k rows instead of k.  One
+counter ranks every entry, enumerated and sampled, as one stream of blocks
+of subset index tables: the enumerated entries first, in blocks of up to
+65,536 subsets that may mix sizes, then each sampled entry in blocks of
+4,096 draws.  Each column is one word (uint8 for up to 8 rows), and a
+block is gathered in one dimension and ranked in one batch call, so a
 [13,5] vector is one call.  The intp subset index table of every size
 that fits one block is built once per process and reused, since a search
 scores thousands of codes of one length; a length keeps at most n + 1
@@ -182,7 +184,8 @@ def _subset_blocks(n: int, sizes):
     """Yield the j-subsets of range(n), for each j in ``sizes``, in blocks of at most ``_CHUNK``.
 
     A block is a list of (j, table) pairs, each table a (j, count) index
-    array of subsets in lexicographic order.  A size with C(n, j) <=
+    array of subsets in lexicographic order (:func:`_count_full_rank`
+    puts its sampled draws in the same form).  A size with C(n, j) <=
     ``_CHUNK`` comes whole as its memoised :func:`_comb_table` (at most
     n + 1 per length) and shares a block with the sizes before it while
     they fit.  A larger size streams from ``itertools`` as transposed int32
@@ -241,70 +244,58 @@ def _as_sets(items: np.ndarray, limbs: int) -> np.ndarray:
     return items.view(f"u{items.itemsize // limbs}").reshape(*items.shape, limbs)
 
 
-def _count_enumerated(space, sizes) -> list[int]:
-    """Number of full-rank m-subsets among all C(n, m), for each m in ``sizes``.
+def _count_full_rank(G: BinaryMatrix, enumerated, sampled=(), samples=0, gen=None) -> list[int]:
+    """Full-rank m-subsets of G's columns: among all C(n, m) for each m in ``enumerated``,
+    then among ``samples`` uniform draws of ``gen`` for each m in ``sampled``, in that order.
 
-    ``space`` is :func:`_rank_space` of the generator.  Every subset of
-    every size is ranked, one :func:`_subset_blocks` block per
-    :func:`rank_batch` call.  A block is one zeroed (width, subsets) array
-    of column items, width its largest size: each size's table gathers
-    into its first j rows, and the zero columns below are inert.  On the
-    dual an m-subset is full rank when its complementary (n - m)-subset is
-    independent, so the complements are ranked and counted where their
-    rank is j = n - m; on the primal where it is the row count.  A None
-    space (rank(G) < k) ranks nothing.
+    All entries are one stream of (j, table) blocks: :func:`_subset_blocks`,
+    then one block per ``_SAMPLE_CHUNK`` draws, each row of iid uniforms
+    taking the m-subset of its m smallest values.  A block is ranked in
+    one :func:`rank_batch` call on a zeroed (width, count) array of column
+    items, width its largest j; each table gathers into its first j rows,
+    and the zero columns below are inert.  On the dual of
+    :func:`_rank_space` an m-subset is full rank when its complementary
+    (n - m)-subset is independent, so j = n - m and a rank of j counts; on
+    the primal j = m and the row count does.  A rank-deficient G ranks
+    nothing, but still takes the draws, so that a shared generator moves
+    on identically.
     """
+    n = G.cols
+    space = _rank_space(G)
+    packed, rows, dual = space or (None, 0, False)
+    js = [n - m if dual else m for m in (*enumerated, *sampled)]
+    # one expression per chunk, so that its (count, n) draws and argpartition
+    # are freed before the yield and only the (j, count) table is kept
+    draws = ([(j, np.argpartition(gen.random((min(_SAMPLE_CHUNK, samples - done), n)), m, axis=1)
+               [:, slice(m, None) if dual else slice(m)].T.copy())]
+             for m, j in zip(sampled, js[len(enumerated):])
+             for done in range(0, samples, _SAMPLE_CHUNK))
     if space is None:
-        return [0] * len(sizes)
-    packed, rows, dual = space
-    n, limbs = packed.shape
+        for _ in draws:
+            pass
+        return [0] * len(js)
     col = _items(packed, rows)
-    js = [n - m if dual else m for m in sizes]
     counts = dict.fromkeys(js, 0)
-    for block in _subset_blocks(n, js):
+    for block in itertools.chain(_subset_blocks(n, js[:len(enumerated)]), draws):
         bounds = [0, *itertools.accumulate(table.shape[1] for _, table in block)]
         sets = np.zeros((max(j for j, _ in block), bounds[-1]), dtype=col.dtype)
         for (j, table), a, b in zip(block, bounds, bounds[1:]):
             sets[:j, a:b] = col[table]
-        ranks = rank_batch(_as_sets(sets, limbs).transpose(1, 0, 2), rows)
+        ranks = rank_batch(_as_sets(sets, packed.shape[1]).transpose(1, 0, 2), rows)
         for (j, _), a, b in zip(block, bounds, bounds[1:]):
             counts[j] += int((ranks[a:b] == (j if dual else rows)).sum())
     return [counts[j] for j in js]
 
 
-def _count_full_rank(space, m: int, draws) -> int:
-    """Number of full-rank m-subsets among ``draws`` samples.
-
-    ``space`` is :func:`_rank_space` of the generator; ``draws`` yields
-    (rows, n) blocks of iid uniforms, each row sampling the m-subset of its
-    m smallest values.  On the dual an m-subset is full rank when its
-    complementary (n - m)-subset is independent, so the complements are
-    ranked.  A None space (rank(G) < k) ranks nothing, but still takes the
-    draws, so that a shared generator moves on identically.
-    """
-    if space is None:
-        for _ in draws:
-            pass
-        return 0
-    packed, rows, dual = space
-    col = _items(packed, rows)
-    side, full = (np.s_[:, m:], packed.shape[0] - m) if dual else (np.s_[:, :m], rows)
-    blocks = (col[np.argpartition(d, m, axis=1)[side]] for d in draws)
-    return sum(int((rank_batch(_as_sets(b, packed.shape[1]), rows) == full).sum())
-               for b in blocks)
-
-
 def _counted_vd(G: BinaryMatrix, max_subsets: int, samples_per_entry=None,
                 gen=None) -> DecodingVector:
-    """Count every entry m = k..n: the enumerated ones in one pass, then the sampled ones in turn.
+    """Count every entry m = k..n in one :func:`_count_full_rank` pass and build the vector.
 
-    An entry is enumerated when C(n, m) <= ``max_subsets``; all of them are
-    counted together by :func:`_count_enumerated`, whose blocks may mix
-    entries.  The others are sampled from ``samples_per_entry`` draws of
-    ``gen`` through :func:`_count_full_rank`, in the order of m, so the
-    draws follow that order.  Without ``samples_per_entry`` an oversized
-    entry is an error, raised before any subset is ranked; C(n, m) over
-    m >= k peaks at m = max(k, n // 2), so that one binomial decides it.
+    An entry is enumerated when C(n, m) <= ``max_subsets``, else sampled
+    from ``samples_per_entry`` draws of ``gen``, in the order of m.
+    Without ``samples_per_entry`` an oversized entry is an error, raised
+    before any subset is ranked; C(n, m) over m >= k peaks at
+    m = max(k, n // 2), so that one binomial decides it.
     """
     k, n = G.shape
     if k > n:
@@ -317,17 +308,14 @@ def _counted_vd(G: BinaryMatrix, max_subsets: int, samples_per_entry=None,
             f"C({n},{widest}) = {math.comb(n, widest)} exceeds the enumeration limit "
             f"{max_subsets}; estimate it by sampling (sampled_vd, or --samples N)"
         )
-    space = _rank_space(G)
     sizes = range(k, n + 1)
-    enumerated = [m for m in sizes if math.comb(n, m) <= max_subsets]
-    entries = {m: (c, math.comb(n, m), 0)
-               for m, c in zip(enumerated, _count_enumerated(space, enumerated))}
-    for m in sizes:
-        if m not in entries:
-            draws = (gen.random((min(_SAMPLE_CHUNK, samples_per_entry - done), n))
-                     for done in range(0, samples_per_entry, _SAMPLE_CHUNK))
-            entries[m] = (_count_full_rank(space, m, draws), samples_per_entry, samples_per_entry)
-    counts, totals, samples = zip(*(entries[m] for m in sizes))
+    exact = {m: math.comb(n, m) for m in sizes if math.comb(n, m) <= max_subsets}
+    sampled = [m for m in sizes if m not in exact]
+    found = dict(zip([*exact, *sampled],
+                     _count_full_rank(G, list(exact), sampled, samples_per_entry, gen)))
+    counts = [found[m] for m in sizes]
+    totals = [exact.get(m, samples_per_entry) for m in sizes]
+    samples = [0 if m in exact else samples_per_entry for m in sizes]
     return DecodingVector(n, k, [c / t for c, t in zip(counts, totals)], counts, totals, samples)
 
 

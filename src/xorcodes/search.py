@@ -50,6 +50,7 @@ class SearchConfig:
     """Search parameters shared by every restart.
 
     The objective is the channel success probability at ``reference_p``.
+    Only algorithm 2 reads ``k1``; its Latin rectangle refuses a bad one.
     ``samples`` is None for exact decoding vectors, or the number of
     subsets :func:`sampled_vd` draws per oversized entry.
     """
@@ -68,10 +69,6 @@ class SearchConfig:
     def __post_init__(self):
         if not self.n > self.k >= 1:
             raise ValueError(f"need n > k >= 1, got n={self.n}, k={self.k}")
-        if self.k1 % 2 == 0:
-            raise ValueError(f"k1 must be odd, got {self.k1}")
-        if not 1 <= self.k1 <= self.k:
-            raise ValueError(f"need 1 <= k1 <= k, got k1={self.k1}, k={self.k}")
         if self.attempts < 1:
             raise ValueError(f"attempts must be >= 1, got {self.attempts}")
         if self.max_climb_steps < 0:

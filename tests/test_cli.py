@@ -133,6 +133,19 @@ class TestEval:
                            "--out-sweep", "/dev/null")
         assert code == 2 and err.startswith(f"error: cannot write {tmp_path}")
 
+    def test_outputs_naming_one_file_refused_before_the_vector(self, capsys, tmp_path,
+                                                              monkeypatch):
+        def no_vector(*args, **kwargs):
+            raise AssertionError("the vector was computed")
+
+        monkeypatch.setattr("xorcodes.cli.exact_vd", no_vector)
+        monkeypatch.chdir(tmp_path)
+        code, _, err = run(capsys, "eval", GOLDEN, "--out-vd", "x.csv", "--out-sweep", "./x.csv")
+        assert code == 2 and err == (f"error: --out-vd and --out-sweep both name "
+                                     f"{(tmp_path / 'x.csv').resolve()}; "
+                                     "give each output its own file\n")
+        assert list(tmp_path.iterdir()) == []
+
     def test_bad_grid_refused_before_the_vector(self, capsys, monkeypatch):
         def no_vector(*args, **kwargs):
             raise AssertionError("the vector was computed")
@@ -249,11 +262,13 @@ class TestSearch:
         assert code == 2 and bad in err
 
     def test_algorithm_one(self, capsys, tmp_path):
+        # at --k 2 the default --k1 3 exceeds k, but algorithm 1 never reads k1
         out_path = tmp_path / "family.txt"
-        code, _, _ = run(capsys, "search", "--n", "9", "--k", "3", "--algorithm", "1",
-                         "--attempts", "2", "--seed", "1", "--out", str(out_path))
-        assert code == 0
-        assert "algorithm=1" in out_path.read_text()
+        for n, k in [("9", "3"), ("6", "2")]:
+            code, _, err = run(capsys, "search", "--n", n, "--k", k, "--algorithm", "1",
+                               "--attempts", "2", "--seed", "1", "--out", str(out_path))
+            assert code == 0 and err == ""
+            assert "algorithm=1" in out_path.read_text()
 
 
 class TestSimulate:

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 import xorcodes as xc
 from xorcodes import decoding
-from xorcodes.decoding import (_comb_table, _count_enumerated, _distinct_rows, _loss_term,
+from xorcodes.decoding import (_comb_table, _count_full_rank, _distinct_rows, _loss_term,
                                _rank_space, _subset_blocks, format_float)
 from xorcodes.gf2 import rank_batch
 
@@ -125,8 +126,7 @@ class TestExactVd:
             xc.exact_vd(G, max_subsets=1000)
 
     def test_partial_sizes_count_only_those_sizes(self, g135):
-        space = _rank_space(g135)
-        counts = dict(zip([5, 8, 13], _count_enumerated(space, [5, 8, 13])))
+        counts = dict(zip([5, 8, 13], _count_full_rank(g135, [5, 8, 13])))
         assert counts == {5: 792, 8: 1284, 13: 1}
 
     @settings(max_examples=40, derandomize=True, deadline=None)
@@ -138,8 +138,7 @@ class TestExactVd:
                          label="bits")
         G = xc.BinaryMatrix(np.array(bits, dtype=np.uint8).reshape(k, n))
         sizes = data.draw(st.sets(st.integers(k, n), min_size=1), label="sizes")
-        space = _rank_space(G)
-        counts = dict(zip(sizes, _count_enumerated(space, list(sizes))))
+        counts = dict(zip(sizes, _count_full_rank(G, list(sizes))))
         assert counts == brute_force_counts(G, sizes)
 
     @settings(max_examples=40, derandomize=True, deadline=None)
@@ -220,7 +219,7 @@ class TestExactVd:
                        reverse=data.draw(st.booleans(), label="descending"))
         chunk = data.draw(st.sampled_from([1, 3, 10, decoding._CHUNK]), label="chunk")
         with mock.patch.object(decoding, "_CHUNK", chunk):
-            got = _count_enumerated(_rank_space(G), sizes)
+            got = _count_full_rank(G, sizes)
         assert dict(zip(sizes, got)) == brute_force_counts(G, sizes)
 
     @pytest.mark.parametrize("k,n", [(65, 130), (66, 131)], ids=["primal-65", "dual-65"])
@@ -328,16 +327,36 @@ class TestSampledVd:
             [math.sqrt(x * (1 - x) / samples) if s else 0.0 for x, s in zip(vd.rho, sampled)])
         assert (vd.mode == "exact") == (not any(sampled))
 
-    def test_draws_recount_on_the_generator(self):
-        # regenerate each sampled entry's draws and rank them on G itself
-        G = high_rate_96()
-        vd = xc.sampled_vd(G, 300, 17, max_subsets=1)
-        gen = np.random.default_rng(17)
-        for i, m in enumerate(range(6, 9)):
-            sets = np.argsort(gen.random((300, 9)), axis=1)[:, :m]
-            hits = sum(xc.rank(xc.select_columns(G, sorted(s))) == 6 for s in sets.tolist())
-            assert (vd.samples[i], vd.counts[i]) == (300, hits)
-        assert vd.samples[3] == 0 and vd.counts[3] == 1
+    def test_draws_recount_on_the_generator(self, g135):
+        # regenerate each sampled entry's draws and rank them on G itself, for a dual and a
+        # primal code, in one draw chunk and across chunks of 128, 128 and 44 draws
+        for G, max_subsets in [(high_rate_96(), 1), (g135, 100)]:
+            k, n = G.shape
+            sampled = [m for m in range(k, n + 1) if math.comb(n, m) > max_subsets]
+            for chunk in [decoding._SAMPLE_CHUNK, 128]:
+                with mock.patch.object(decoding, "_SAMPLE_CHUNK", chunk):
+                    vd = xc.sampled_vd(G, 300, 17, max_subsets=max_subsets)
+                gen = np.random.default_rng(17)
+                for i, m in enumerate(sampled):
+                    sets = np.argsort(gen.random((300, n)), axis=1)[:, :m]
+                    hits = sum(xc.rank(xc.select_columns(G, sorted(s))) == k
+                               for s in sets.tolist())
+                    assert (vd.samples[i], vd.counts[i]) == (300, hits)
+                assert vd.samples[len(sampled):] == (0,) * (n - k + 1 - len(sampled))
+                assert vd.counts[-1] == 1
+
+    def test_sampling_memory_stays_bounded(self):
+        # a chunk's (4096, 108) draws and their argpartition take 3.4 MiB each; keeping
+        # either past its chunk would lift the peak to about 10 MiB
+        G = xc.random_matrix(100, 108, 3)
+        xc.sampled_vd(G, 20_000, 1, max_subsets=100)  # warm-up: imports and memoised tables
+        tracemalloc.start()
+        try:
+            xc.sampled_vd(G, 20_000, 1, max_subsets=100)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 << 20
 
     def test_all_exact_when_threshold_high(self, g135, vd135):
         vd = xc.sampled_vd(g135, 10, 0)

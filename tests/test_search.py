@@ -30,9 +30,15 @@ class TestSearchConfig:
         (dict(n=10, k=4, reference_p=1.5), "reference_p"),
         (dict(n=10, k=4, samples=0), "samples"),
     ])
-    def test_validation_names_constraint(self, kw, msg):
+    def test_validation_names_constraint(self, kw, msg, monkeypatch):
+        # k1 is refused by algorithm 2's first restart, the rest by the config itself;
+        # either way before any candidate is evaluated
+        def no_evaluation(*args):
+            raise AssertionError("a candidate was evaluated")
+
+        monkeypatch.setattr("xorcodes.search._evaluate", no_evaluation)
         with pytest.raises(ValueError, match=msg):
-            xc.SearchConfig(**kw)
+            xc.search_family(xc.SearchConfig(**kw), algorithm=2)
 
 
 class TestInitRandom:
@@ -80,7 +86,7 @@ class TestInitBalanced:
 
     def test_rejects_even_weight(self):
         with pytest.raises(ValueError, match="k1 must be odd"):
-            small_cfg(k1=2)
+            xc.init_balanced(small_cfg(k1=2), np.random.default_rng(0))
 
     def test_minimal_length(self):
         # n = k + 1 leaves no random tail at all
@@ -227,9 +233,12 @@ class TestSearchFamily:
             assert x.G == y.G and x.provenance == y.provenance
 
     def test_algorithm_one(self):
-        fam = xc.search_family(small_cfg(attempts=4), algorithm=1)
-        assert fam[0].provenance["algorithm"] == 1
-        assert "latin" not in fam[0].provenance
+        # at k = 2 the default k1 = 3 exceeds k, but algorithm 1 never reads k1
+        for cfg in [small_cfg(attempts=4), small_cfg(n=6, k=2, attempts=3)]:
+            fam = xc.search_family(cfg, algorithm=1)
+            assert fam[0].provenance["algorithm"] == 1
+            assert "latin" not in fam[0].provenance
+            assert all(xc.rank(c.G) == cfg.k for c in fam)
 
     def test_restart_provenance(self):
         fam = xc.search_family(small_cfg(attempts=5), algorithm=2)
