@@ -12,16 +12,17 @@ independent, so every rank is taken over n - k rows instead of k.  One
 counter ranks every entry, enumerated and sampled, as one stream of blocks
 of subset index tables: the enumerated entries first, in blocks of up to
 65,536 subsets that may mix sizes, then each sampled entry in blocks of
-4,096 draws.  Each column is one word (uint8 for up to 8 rows), and a
-block is gathered in one dimension and ranked in one batch call, so a
-[13,5] vector is one call.  The intp subset index table of every size
-that fits one block is built once per process and reused, since a search
-scores thousands of codes of one length; a length keeps at most n + 1
-such tables, each no larger than one block, and larger sizes stream as
-int32 blocks that are never kept.  On top of that sit the
-erasure-channel success probability, the analytic random-linear-code
-baseline, the MDS predicate, and a Monte Carlo channel simulator used as
-an empirical cross-check.
+4,096 draws.  The columns are taken once as limb-major words (one uint8
+row for up to 8 rows), and a block is filled limb by limb with 1-d
+gathers and ranked in one batch call, so a [13,5] vector is one call.
+The intp subset index table of every size that fits one block is built
+once per process and reused, since a search scores thousands of codes of
+one length; a length keeps at most n + 1 such tables, each no larger
+than one block, and larger sizes and sampled draws come as int32 blocks
+that are never kept.  On top of that sit the erasure-channel success
+probability, the analytic random-linear-code baseline, the MDS
+predicate, and a Monte Carlo channel simulator used as an empirical
+cross-check.
 """
 
 from __future__ import annotations
@@ -229,30 +230,17 @@ def _rank_space(G: BinaryMatrix) -> tuple[np.ndarray, int, bool] | None:
     return pack_columns(G.array), k, False
 
 
-def _items(packed: np.ndarray, rows: int) -> np.ndarray:
-    """Packed (n, limbs) columns as n opaque items, so that a 1-d gather moves whole columns.
-
-    Up to 64 rows make one word of the narrowest unsigned type that holds
-    ``rows`` bits; more rows keep their uint64 limbs as one item.
-    """
-    words = packed.astype(np.min_scalar_type((1 << min(rows, 64)) - 1))
-    return words.view(f"V{words.itemsize * words.shape[1]}")[:, 0]
-
-
-def _as_sets(items: np.ndarray, limbs: int) -> np.ndarray:
-    """Gathered column items (..., m) as the (..., m, limbs) words :func:`rank_batch` reads."""
-    return items.view(f"u{items.itemsize // limbs}").reshape(*items.shape, limbs)
-
-
 def _count_full_rank(G: BinaryMatrix, enumerated, sampled=(), samples=0, gen=None) -> list[int]:
     """Full-rank m-subsets of G's columns: among all C(n, m) for each m in ``enumerated``,
     then among ``samples`` uniform draws of ``gen`` for each m in ``sampled``, in that order.
 
     All entries are one stream of (j, table) blocks: :func:`_subset_blocks`,
     then one block per ``_SAMPLE_CHUNK`` draws, each row of iid uniforms
-    taking the m-subset of its m smallest values.  A block is ranked in
-    one :func:`rank_batch` call on a zeroed (width, count) array of column
-    items, width its largest j; each table gathers into its first j rows,
+    taking the m-subset of its m smallest values.  The columns are taken
+    once as limb-major words: ``packed.T`` in the narrowest unsigned word
+    for up to 64 rows, uint64 limbs above.  A block is ranked in one
+    :func:`rank_batch` call on a zeroed (limbs, width, count) array, width
+    its largest j; each table gathers every limb into its first j rows,
     and the zero columns below are inert.  On the dual of
     :func:`_rank_space` an m-subset is full rank when its complementary
     (n - m)-subset is independent, so j = n - m and a rank of j counts; on
@@ -267,21 +255,22 @@ def _count_full_rank(G: BinaryMatrix, enumerated, sampled=(), samples=0, gen=Non
     # one expression per chunk, so that its (count, n) draws and argpartition
     # are freed before the yield and only the (j, count) table is kept
     draws = ([(j, np.argpartition(gen.random((min(_SAMPLE_CHUNK, samples - done), n)), m, axis=1)
-               [:, slice(m, None) if dual else slice(m)].T.copy())]
+               [:, slice(m, None) if dual else slice(m)].T.astype(np.int32))]
              for m, j in zip(sampled, js[len(enumerated):])
              for done in range(0, samples, _SAMPLE_CHUNK))
     if space is None:
         for _ in draws:
             pass
         return [0] * len(js)
-    col = _items(packed, rows)
+    words = packed.T.astype(np.min_scalar_type((1 << min(rows, 64)) - 1), order="C")
     counts = dict.fromkeys(js, 0)
     for block in itertools.chain(_subset_blocks(n, js[:len(enumerated)]), draws):
         bounds = [0, *itertools.accumulate(table.shape[1] for _, table in block)]
-        sets = np.zeros((max(j for j, _ in block), bounds[-1]), dtype=col.dtype)
-        for (j, table), a, b in zip(block, bounds, bounds[1:]):
-            sets[:j, a:b] = col[table]
-        ranks = rank_batch(_as_sets(sets, packed.shape[1]).transpose(1, 0, 2), rows)
+        sets = np.zeros((len(words), max(j for j, _ in block), bounds[-1]), dtype=words.dtype)
+        for limb, col in zip(sets, words):
+            for (j, table), a, b in zip(block, bounds, bounds[1:]):
+                limb[:j, a:b] = col[table]
+        ranks = rank_batch(sets.transpose(2, 1, 0), rows)
         for (j, _), a, b in zip(block, bounds, bounds[1:]):
             counts[j] += int((ranks[a:b] == (j if dual else rows)).sum())
     return [counts[j] for j in js]

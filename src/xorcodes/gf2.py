@@ -37,8 +37,9 @@ __all__ = [
     "format_matrix",
 ]
 
-# Input bytes rank_batch eliminates at a time: big enough to amortise the
-# per-step numpy calls, small enough that the working copy stays in cache.
+# Bytes of collections rank_batch eliminates at a time, counting 8 bytes per
+# limb whatever the word, so the working copy of a uint8 block is 1/8 of it:
+# big enough to amortise the per-step numpy calls, small enough to stay in cache.
 _BLOCK_BYTES = 1 << 18
 
 
@@ -216,8 +217,8 @@ def rank_batch(colsets: np.ndarray, k: int) -> np.ndarray:
     of different sizes can share one padded array; an empty collection has
     rank 0.  Raises ValueError when k rows do not fit in the limbs.
 
-    Collections are eliminated one block of about ``_BLOCK_BYTES`` input
-    bytes at a time.  Each block is copied to a C-ordered (limbs, m, sets)
+    Collections are eliminated one block of ``_BLOCK_BYTES // (8 m limbs)``
+    at a time.  Each block is copied to a C-ordered (limbs, m, sets)
     array of the narrowest unsigned word that holds k bits: uint8 for
     k <= 8, uint16 for k <= 16, uint32 for k <= 32, and uint64 limbs
     otherwise, so a small k moves up to 8x fewer bytes per step.  One

@@ -154,6 +154,25 @@ class TestEval:
         code, _, err = run(capsys, "eval", GOLDEN, "--p-step", "-1")
         assert code == 2 and "p-step" in err
 
+    @pytest.mark.parametrize("bounds", [["--p-min", "0.6", "--p-max", "0.5"], ["--p-max", "1.5"]],
+                             ids=["min-above-max", "max-above-one"])
+    def test_bad_grid_bounds_refused_before_the_vector(self, capsys, monkeypatch, bounds):
+        def no_vector(*args, **kwargs):
+            raise AssertionError("the vector was computed")
+
+        monkeypatch.setattr("xorcodes.cli.exact_vd", no_vector)
+        code, _, err = run(capsys, "eval", GOLDEN, *bounds)
+        assert code == 2 and "need 0 <= p-min <= p-max <= 1" in err
+
+    def test_grid_ends_at_p_max(self, capsys, tmp_path):
+        sweep_path = tmp_path / "sweep.csv"
+        code, _, _ = run(capsys, "eval", GOLDEN, "--out-vd", "/dev/null",
+                         "--out-sweep", str(sweep_path),
+                         "--p-min", "0", "--p-max", "0.25", "--p-step", "0.1")
+        assert code == 0
+        rows = sweep_path.read_text().splitlines()[2:]
+        assert [row.split(",")[0] for row in rows] == ["0.0", "0.1", "0.2", "0.25"]
+
 
 class TestBaseline:
     def test_known_first_entry(self, capsys):
@@ -315,6 +334,16 @@ class TestSimulate:
         path.write_text(xc.format_matrix(xc.random_matrix(20, 40, np.random.default_rng(0))))
         code, _, err = run(capsys, "simulate", str(path), "--p", "0.1", "--trials", "1000000")
         assert code == 2 and "enumeration limit" in err
+
+    def test_more_rows_than_columns_runs_no_trials(self, capsys, monkeypatch, tmp_path):
+        def no_trials(*args, **kwargs):
+            raise AssertionError("the simulation ran")
+
+        monkeypatch.setattr("xorcodes.cli.simulate_ps", no_trials)
+        path = tmp_path / "g_5_3.txt"
+        path.write_text(xc.format_matrix(xc.random_matrix(5, 3, np.random.default_rng(0))))
+        code, _, err = run(capsys, "simulate", str(path), "--p", "0.1")
+        assert code == 2 and "generator must have k <= n, got 5x3" in err
 
     def test_never_decoding_code_has_finite_z(self, capsys, tmp_path):
         # rank 39 < k: every trial fails, and the analytic p_s is only

@@ -267,6 +267,11 @@ class TestExactVd:
         with pytest.raises(ValueError, match="max_subsets"):
             xc.exact_vd(g135, max_subsets=0)
 
+    def test_rejects_more_rows_than_columns(self):
+        G = xc.random_matrix(5, 3, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="generator must have k <= n, got 5x3"):
+            xc.exact_vd(G)
+
     def test_monotone_counts(self, vd135):
         fracs = [Fraction(c, t) for c, t in zip(vd135.counts, vd135.totals)]
         assert all(a <= b for a, b in zip(fracs, fracs[1:]))
@@ -370,6 +375,11 @@ class TestSampledVd:
     def test_rejects_zero_max_subsets(self, g135):
         with pytest.raises(ValueError, match="max_subsets"):
             xc.sampled_vd(g135, 10, 0, max_subsets=0)
+
+    def test_rejects_more_rows_than_columns(self):
+        G = xc.random_matrix(5, 3, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="generator must have k <= n, got 5x3"):
+            xc.sampled_vd(G, 10, 0)
 
 
 class TestPSuccess:

@@ -241,7 +241,7 @@ class TestRankBatch:
         assert len(set(got.tolist())) > 1
 
     def test_narrow_word_view_ranks_as_uint64(self):
-        # a (width, N) uint8 block seen as (N, width, 1), the layout decoding hands in
+        # a (1, width, N) limb-major uint8 block as (N, width, 1), the layout decoding hands in
         rng = np.random.default_rng(13)
         mats = [xc.random_matrix(5, 9, rng) for _ in range(300)]
         wide = np.stack([pack_columns(m.array) for m in mats])
