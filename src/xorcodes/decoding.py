@@ -15,11 +15,12 @@ of subset index tables: the enumerated entries first, in blocks of up to
 4,096 draws.  The columns are taken once as limb-major words (one uint8
 row for up to 8 rows), and a block is filled limb by limb with 1-d
 gathers and ranked in one batch call, so a [13,5] vector is one call.
-The intp subset index table of every size that fits one block is built
-once per process and reused, since a search scores thousands of codes of
-one length; a length keeps at most n + 1 such tables, each no larger
-than one block, and larger sizes and sampled draws come as int32 blocks
-that are never kept.  On top of that sit the erasure-channel success
+Subset index tables are unranked in numpy by the combinatorial number
+system.  The intp table of every size that fits one block is built once
+per process and reused, since a search scores thousands of codes of one
+length; a length keeps at most n + 1 such tables, each no larger than one
+block, and larger sizes and sampled draws come as int32 blocks that are
+never kept.  On top of that sit the erasure-channel success
 probability, the analytic random-linear-code baseline, the MDS
 predicate, and a Monte Carlo channel simulator used as an empirical
 cross-check.
@@ -166,17 +167,38 @@ class SimulationResult:
     successes: int
 
 
+def _unrank(n: int, j: int, start: int, count: int, dtype) -> np.ndarray:
+    """The j-subsets of range(n) of lexicographic ranks start..start+count-1, as a (j, count) table.
+
+    A subset c_0 < ... < c_{j-1} of rank r has C(n, j) - 1 - r =
+    sum_i C(n - 1 - c_i, j - i) (the combinatorial number system), so row i
+    is one ``np.searchsorted`` of the remainders into the binomials
+    C(d, j - i) over the n - j + 1 values d = n - 1 - c_i can take; none of
+    them exceeds C(n, j).  The table is filled ``_SAMPLE_CHUNK`` columns at
+    a time, so that the int64 remainders and indices stay small.
+    """
+    binoms = [np.array([math.comb(d, j - i) for d in range(j - i - 1, n - i)], dtype=np.int64)
+              for i in range(j)]
+    table = np.empty((j, count), dtype=dtype)
+    last = math.comb(n, j) - 1 - start
+    for a in range(0, count, _SAMPLE_CHUNK):
+        rest = np.arange(last - a, last - min(a + _SAMPLE_CHUNK, count), -1, dtype=np.int64)
+        for i, col in enumerate(binoms):
+            pos = col.searchsorted(rest, side="right") - 1
+            table[i, a:a + len(rest)] = n - j + i - pos
+            rest -= col[pos]
+    return table
+
+
 @functools.cache
 def _comb_table(n: int, j: int) -> np.ndarray:
     """All j-subsets of range(n) as one read-only (j, C(n, j)) intp table, kept per process.
 
-    Column c is the c-th subset in lexicographic order, so row i (the i-th
-    member of every subset) is contiguous and ``col[table]`` is a 1-d
-    gather.  j = 0 gives the (0, 1) empty subset.
+    Column c is the c-th subset in lexicographic order (:func:`_unrank`),
+    so row i (the i-th member of every subset) is contiguous and
+    ``col[table]`` is a 1-d gather.  j = 0 gives the (0, 1) empty subset.
     """
-    total = math.comb(n, j)
-    table = np.fromiter(itertools.chain.from_iterable(itertools.combinations(range(n), j)),
-                        dtype=np.intp, count=total * j).reshape(total, j).T.copy()
+    table = _unrank(n, j, 0, math.comb(n, j), np.intp)
     table.flags.writeable = False
     return table
 
@@ -189,19 +211,16 @@ def _subset_blocks(n: int, sizes):
     puts its sampled draws in the same form).  A size with C(n, j) <=
     ``_CHUNK`` comes whole as its memoised :func:`_comb_table` (at most
     n + 1 per length) and shares a block with the sizes before it while
-    they fit.  A larger size streams from ``itertools`` as transposed int32
-    blocks that are never kept (intp would double their memory).
+    they fit.  A larger size is unranked (:func:`_unrank`) one block at a
+    time as int32 tables that are never kept (intp would double their
+    memory).
     """
     block, used = [], 0
     for j in sizes:
         total = math.comb(n, j)
         if total > _CHUNK:
-            it = itertools.combinations(range(n), j)
             for start in range(0, total, _CHUNK):
-                count = min(_CHUNK, total - start)
-                idx = np.fromiter(itertools.chain.from_iterable(itertools.islice(it, count)),
-                                  dtype=np.int32, count=count * j)
-                yield [(j, idx.reshape(count, j).T)]
+                yield [(j, _unrank(n, j, start, min(_CHUNK, total - start), np.int32))]
             continue
         if used + total > _CHUNK:
             yield block
@@ -333,16 +352,17 @@ def sampled_vd(G: BinaryMatrix, samples_per_entry: int, rng,
     return _counted_vd(G, max_subsets, samples_per_entry, np.random.default_rng(rng))
 
 
-def _loss_term(n: int, i: int, p: float) -> float:
-    """C(n, i) p^i (1-p)^(n-i), switching to logarithms for large n."""
+def _loss_terms(n: int, p: float) -> list[float]:
+    """C(n, i) p^i (1-p)^(n-i) for i = 0..n, switching to logarithms for large n."""
     if n <= 60:
-        return math.comb(n, i) * p**i * (1.0 - p) ** (n - i)
+        return [math.comb(n, i) * p**i * (1.0 - p) ** (n - i) for i in range(n + 1)]
     if p == 0.0:
-        return 1.0 if i == 0 else 0.0
+        return [1.0] + [0.0] * n
     if p == 1.0:
-        return 1.0 if i == n else 0.0
-    logc = math.lgamma(n + 1) - math.lgamma(i + 1) - math.lgamma(n - i + 1)
-    return math.exp(logc + i * math.log(p) + (n - i) * math.log1p(-p))
+        return [0.0] * n + [1.0]
+    lg, lp, lq = math.lgamma(n + 1), math.log(p), math.log1p(-p)
+    return [math.exp(lg - math.lgamma(i + 1) - math.lgamma(n - i + 1) + i * lp + (n - i) * lq)
+            for i in range(n + 1)]
 
 
 def p_success(vd: DecodingVector, p: float) -> ChannelPoint:
@@ -355,13 +375,14 @@ def p_success(vd: DecodingVector, p: float) -> ChannelPoint:
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"erasure probability must be in [0, 1], got {p}")
     n, k = vd.n, vd.k
-    rho = vd.rho
+    terms = _loss_terms(n, p)
+    rho = vd.rho.tolist()
     p_u1 = 0.0
     for i in range(0, n - k + 1):
-        p_u1 += _loss_term(n, i, p) * (1.0 - float(rho[n - k - i]))
+        p_u1 += terms[i] * (1.0 - rho[n - k - i])
     p_u2 = 0.0
     for i in range(n - k + 1, n + 1):
-        p_u2 += _loss_term(n, i, p)
+        p_u2 += terms[i]
     p_u = min(max(p_u1 + p_u2, 0.0), 1.0)
     return ChannelPoint(p=p, p_s=1.0 - p_u, p_u=p_u)
 
@@ -439,12 +460,13 @@ def simulate_ps(G: BinaryMatrix, p: float, trials: int, rng) -> SimulationResult
     Runs ``trials`` independent experiments; success means the surviving
     columns still span all k rows (on the dual: the erased columns of the
     parity-check matrix are independent).  Trials are drawn in chunks
-    whose memory is bounded by a byte budget, not by a trial count, and
-    each distinct erasure pattern in a chunk is ranked once, its success
-    weighted by how often it was drawn.  The patterns are grouped by one
-    sort of packed keys (uint16, uint32 or uint64 for n up to 16, 32 or
-    64; see ``_distinct_rows``).  Deterministic for a fixed seed, whatever
-    the chunking, since the draws fill row by row.
+    into one reused buffer, whose memory is bounded by a byte budget, not
+    by a trial count, and each distinct erasure pattern in a chunk is
+    ranked once, its success weighted by how often it was drawn.  The
+    patterns are grouped by one sort of packed keys (uint16, uint32 or
+    uint64 for n up to 16, 32 or 64; see ``_distinct_rows``).
+    Deterministic for a fixed seed, whatever the chunking, since the draws
+    fill row by row.
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"erasure probability must be in [0, 1], got {p}")
@@ -454,9 +476,10 @@ def simulate_ps(G: BinaryMatrix, p: float, trials: int, rng) -> SimulationResult
     n = G.cols
     space = _rank_space(G)
     chunk = max(1, _SIMULATION_CHUNK_BYTES // (8 * n))
+    draws = np.empty((min(chunk, trials), n))
     successes = 0
     for done in range(0, trials, chunk):
-        keep = gen.random((min(chunk, trials - done), n)) >= p
+        keep = gen.random(out=draws[:trials - done]) >= p
         if space is None:
             continue
         packed, rows, dual = space

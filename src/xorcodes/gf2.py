@@ -163,7 +163,10 @@ def parity_check(M: BinaryMatrix) -> BinaryMatrix:
         hit = np.flatnonzero(a[:, c])
         a[hit[hit != r]] ^= a[r]
         pivots.append(c)
-    free = np.setdiff1d(np.arange(M.cols), pivots)
+    # a mask, not np.setdiff1d, whose np.unique imports numpy.ma: a slow first import
+    is_free = np.ones(M.cols, dtype=bool)
+    is_free[pivots] = False
+    free = np.flatnonzero(is_free)
     if not free.size:
         raise ValueError(f"a {M.rows}x{M.cols} matrix of full column rank has no parity-check matrix")
     # reduced row echelon form: free column f gives h[f] = 1, h[pivots[i]] = a[i, f]

@@ -1,6 +1,9 @@
 import argparse
 import hashlib
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -172,6 +175,18 @@ class TestEval:
         assert code == 0
         rows = sweep_path.read_text().splitlines()[2:]
         assert [row.split(",")[0] for row in rows] == ["0.0", "0.1", "0.2", "0.25"]
+
+    def test_high_rate_eval_leaves_numpy_ma_unimported(self, tmp_path):
+        # numpy.ma, which np.unique imports, is a slow first import in every fresh process
+        path = tmp_path / "g_12_8.txt"
+        path.write_text(xc.format_matrix(xc.random_matrix(8, 12, np.random.default_rng(0))))
+        script = ("import sys; from xorcodes import cli; "
+                  f"code = cli.main(['eval', {str(path)!r}, '--out-vd', '/dev/null']); "
+                  "print(code, 'numpy.ma' in sys.modules)")
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=60)
+        assert proc.stdout.splitlines()[-1] == "0 False", proc.stderr
 
 
 class TestBaseline:

@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 
 import xorcodes as xc
 from xorcodes import decoding
-from xorcodes.decoding import (_comb_table, _count_full_rank, _distinct_rows, _loss_term,
-                               _rank_space, _subset_blocks, format_float)
+from xorcodes.decoding import (_comb_table, _count_full_rank, _distinct_rows, _loss_terms,
+                               _rank_space, _subset_blocks, _unrank, format_float)
 from xorcodes.gf2 import rank_batch
 
 # frozen by independent naive enumeration of the shipped [13,5] matrix
@@ -30,6 +30,19 @@ def high_rate_codes(draw):
     r = draw(st.integers(1, k), label="r")  # rows r..k-1 are zero when r < k
     cols = draw(st.lists(st.integers(0, 2**r - 1), min_size=n, max_size=n), label="cols")
     return xc.BinaryMatrix([[c >> i & 1 for c in cols] for i in range(k)])
+
+
+@st.composite
+def subset_slices(draw):
+    """(n, j, a, start, count, dtype): ranks start..start+count-1 among the j-subsets of
+    range(a, n), which are the last C(n - a, j) of range(n)'s in lexicographic order."""
+    n = draw(st.integers(0, 40), label="n")
+    j = draw(st.integers(0, n), label="j")
+    a = draw(st.integers(0, n - j), label="a")
+    total = math.comb(n - a, j)
+    start = draw(st.integers(0, min(total, 3000) - 1), label="start")
+    count = draw(st.integers(1, min(total - start, 3000)), label="count")
+    return n, j, a, start, count, draw(st.sampled_from([np.int32, np.intp]), label="dtype")
 
 
 def brute_force_counts(G, sizes):
@@ -235,6 +248,39 @@ class TestExactVd:
         assert vd.samples[-2:] == (0, 0) and set(vd.samples[:-2]) == {2}
         assert vd.counts[-2:] == tuple(brute_force_counts(G, [n - 1, n]).values()) == (n - 2, 1)
 
+    @settings(max_examples=80, derandomize=True, deadline=None)
+    @given(subset_slices())
+    @example((0, 0, 0, 0, 1, np.intp))
+    @example((9, 0, 0, 0, 1, np.int32))
+    @example((9, 9, 0, 0, 1, np.intp))
+    @example((130, 129, 0, 0, 130, np.intp))
+    @example((40, 20, 20, 0, 1, np.int32))  # the last of C(40, 20) subsets
+    def test_unrank_matches_itertools(self, case):
+        n, j, a, start, count, dtype = case
+        offset = math.comb(n, j) - math.comb(n - a, j)
+        table = _unrank(n, j, offset + start, count, dtype)
+        assert table.dtype == dtype and table.shape == (j, count)
+        assert table.T.tolist() == [list(c) for c in itertools.islice(
+            itertools.combinations(range(a, n), j), start, start + count)]
+
+    def test_cold_unranked_vector_memory_stays_bounded(self):
+        # [44,40] ranks on its 4-row dual: C(44, 4) = 135,751 subsets in three unranked
+        # blocks; unranking a whole 65,536-wide block at once peaks at about 4.3 MiB
+        rng = np.random.default_rng(44)
+        block = xc.random_balanced_nonsingular(40, 3, rng).array
+        G = xc.BinaryMatrix(np.hstack([block, np.ones((40, 1), np.uint8),
+                                       rng.integers(0, 2, (40, 3), dtype=np.uint8)]))
+        xc.exact_vd(G)  # warm-up: imports
+        _comb_table.cache_clear()
+        tracemalloc.start()
+        try:
+            vd = xc.exact_vd(G)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert _rank_space(G)[2] and vd.totals[0] == math.comb(44, 40)
+        assert peak < 4 << 20
+
     def test_subset_blocks_yield_the_empty_subset(self):
         [[(j, table)]] = _subset_blocks(5, [0])
         assert j == 0 and table.shape == (0, 1) and table is _comb_table(5, 0)
@@ -413,14 +459,35 @@ class TestPSuccess:
 
     def test_loss_terms_sum_to_one(self):
         for n in (13, 61, 108):
-            total = sum(_loss_term(n, i, 0.23) for i in range(n + 1))
+            total = sum(_loss_terms(n, 0.23))
             assert total == pytest.approx(1.0, abs=1e-9)
 
     def test_log_route_matches_direct_products(self):
         # n=61 takes the logarithm branch; n<=60 the integer one
+        terms = _loss_terms(61, 0.3)
         for i in (0, 7, 30, 61):
             direct = math.comb(61, i) * 0.3 ** i * 0.7 ** (61 - i)
-            assert _loss_term(61, i, 0.3) == pytest.approx(direct, rel=1e-10)
+            assert terms[i] == pytest.approx(direct, rel=1e-10)
+
+    @pytest.mark.parametrize("n,k", [(13, 5), (61, 53), (108, 100)])
+    def test_matches_the_per_term_formula_exactly(self, n, k):
+        def loss_term(i, p):
+            if n <= 60:
+                return math.comb(n, i) * p**i * (1.0 - p) ** (n - i)
+            if p in (0.0, 1.0):
+                return float(i == (0 if p == 0.0 else n))
+            logc = math.lgamma(n + 1) - math.lgamma(i + 1) - math.lgamma(n - i + 1)
+            return math.exp(logc + i * math.log(p) + (n - i) * math.log1p(-p))
+
+        vd = xc.rlnc_vd(n, k, 2)
+        for p in np.linspace(0.0, 1.0, 51).tolist():
+            p_u1 = p_u2 = 0.0
+            for i in range(n - k + 1):
+                p_u1 += loss_term(i, p) * (1.0 - float(vd.rho[n - k - i]))
+            for i in range(n - k + 1, n + 1):
+                p_u2 += loss_term(i, p)
+            p_u = min(max(p_u1 + p_u2, 0.0), 1.0)
+            assert xc.p_success(vd, p) == xc.ChannelPoint(p, 1.0 - p_u, p_u)
 
     def test_large_n_edges(self):
         vd = xc.rlnc_vd(70, 60, 2)
