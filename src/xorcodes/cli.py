@@ -232,7 +232,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="estimate oversized entries from this many subsets")
     p_eval.add_argument("--seed", type=int, default=0, help="sampling seed")
     p_eval.add_argument("--max-subsets", type=int, default=EXACT_ENUMERATION_LIMIT,
-                        help="largest C(n, m) counted exactly")
+                        help="largest C(n, m) enumerated")
     p_eval.add_argument("--out-vd", default="-", help="decoding vector CSV path (default stdout)")
     p_eval.add_argument("--out-sweep", default="-", help="sweep CSV path (default stdout)")
     _add_grid_flags(p_eval)
@@ -255,7 +255,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_search.add_argument("--stagnation-limit", type=int, default=40,
                           help="stop a climb after this many consecutive rejections")
     p_search.add_argument("--max-subsets", type=int, default=EXACT_ENUMERATION_LIMIT,
-                          help="largest C(n, m) counted exactly")
+                          help="largest C(n, m) enumerated")
     p_search.add_argument("--out", default="-", help="family file path (default stdout)")
     p_search.set_defaults(func=_cmd_search)
 
@@ -276,7 +276,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--samples", type=int, default=None,
                        help="sampled analytic reference with this many subsets per entry")
     p_sim.add_argument("--max-subsets", type=int, default=EXACT_ENUMERATION_LIMIT,
-                       help="largest C(n, m) counted exactly")
+                       help="largest C(n, m) enumerated")
     p_sim.set_defaults(func=_cmd_simulate)
     return parser
 

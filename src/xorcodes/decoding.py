@@ -8,7 +8,11 @@ when its binomial is small enough, otherwise by uniform subset sampling,
 the sampled entries drawn in order from one generator.  A full-rank
 high-rate code (0 < n - k < k) is counted on its dual: a column set spans
 F_2^k exactly when the other columns of the parity-check matrix are
-independent, so every rank is taken over n - k rows instead of k.  One
+independent, so every rank is taken over n - k rows instead of k.
+An exact vector is counted without enumeration, by Mobius inversion over
+the subspaces of F_2^r, when the code is high-rate with r = n - k <= 7,
+or when its binomials exceed the enumeration limit and r = k <= 7; the
+table of subspaces is built on the first use of each r.  Otherwise one
 counter ranks every entry, enumerated and sampled, as one stream of blocks
 of subset index tables: the enumerated entries first, in blocks of up to
 65,536 subsets that may mix sizes, then each sampled entry in blocks of
@@ -59,6 +63,10 @@ __all__ = [
 
 # Refuse exact enumeration once any single C(n, m) grows past this.
 EXACT_ENUMERATION_LIMIT = 2_000_000
+
+# Largest r whose subspaces of F_2^r the Mobius counter sums over: an exact
+# vector is counted that way when min(k, n - k) is at most this.
+_MOBIUS_RANK = 7
 
 _CHUNK = 65_536
 _SAMPLE_CHUNK = 4096
@@ -295,44 +303,145 @@ def _count_full_rank(G: BinaryMatrix, enumerated, sampled=(), samples=0, gen=Non
     return [counts[j] for j in js]
 
 
+@functools.cache
+def _subspaces(r: int) -> tuple[np.ndarray, ...]:
+    """Every subspace of F_2^r as its elements: one read-only (count, 2^u) uint8 table per dimension u.
+
+    A subspace has one reduced echelon basis, whose rows have distinct
+    leading bits (the pivots) and zeros at each other's pivots.  The table
+    grows one bit b at a time: a subspace of F_2^(b+1) either lies in
+    F_2^b, where bit b joins its free (non-pivot) bits, or is W + <2^b | a>
+    for a subspace W of F_2^b and any a set only at W's free bits.  Dimension
+    u therefore holds [r choose u]_2 rows, 374 in all at r = 5 and 29,212
+    (0.4 MB) at r = 7.  Built on first use of each r and kept per process.
+    """
+    levels = [(np.zeros((1, 1), np.uint8), np.zeros((1, 0), np.uint8))]  # F_2^0 = {0}
+    for b in range(r):
+        grown = []
+        for u in range(b + 2):
+            parts = []
+            if u <= b:
+                elems, free = levels[u]
+                parts.append((elems, np.hstack([free, np.full((len(free), 1), b, np.uint8)])))
+            if u:
+                elems, free = levels[u - 1]
+                bits = np.arange(1 << free.shape[1])
+                a = np.full((len(free), bits.size), 1 << b, np.uint8)
+                for s, at in enumerate(free.T):
+                    a |= (bits >> s & 1).astype(np.uint8) << at[:, None]
+                parts.append((np.hstack([np.repeat(elems, bits.size, axis=0),
+                                         (elems[:, None, :] ^ a[:, :, None]).reshape(a.size, -1)]),
+                              np.repeat(free, bits.size, axis=0)))
+            grown.append(tuple(np.concatenate(x) for x in zip(*parts)))
+        levels = grown
+    for elems, _ in levels:
+        elems.flags.writeable = False
+    return tuple(elems for elems, _ in levels)
+
+
+def _gaussian_binomial(a: int, b: int) -> int:
+    """[a choose b]_2, the number of b-dimensional subspaces of F_2^a; 0 unless 0 <= b <= a."""
+    if not 0 <= b <= a:
+        return 0
+    return math.prod((1 << a - i) - 1 for i in range(b)) // math.prod(
+        (1 << i + 1) - 1 for i in range(b))
+
+
+def _mobius_counts(cols: np.ndarray, r: int, js, dual: bool) -> list[int]:
+    """For each j in ``js``, the j-subsets of the F_2^r vectors ``cols`` (integers, bit i
+    = row i) that span F_2^r, or that are independent when ``dual`` (then j <= r).
+
+    n_W, the number of columns inside a subspace W, is the column histogram
+    summed over W's elements (:func:`_subspaces`).  Mobius inversion over
+    the subspace lattice, whose Mobius function is mu = (-1)^c 2^(c(c-1)/2)
+    across codimension c (Stanley, EC1 sec. 3.10), gives the spanning count
+    sum_W mu(W, F_2^r) C(n_W, j), and the independent count (dim U = j)
+    sum_W C(n_W, j) [r - dim W choose e]_2 (-1)^e 2^(e(e-1)/2), e = j - dim W.
+    Subspaces are grouped by (dim W, n_W) first, and every sum is a Python
+    int.  Full-rank m-subsets of G are counted as j = m on G's columns with
+    r = k, or as j = n - m on a parity-check matrix's with r = n - k.
+    """
+    n = len(cols)
+    hist = np.bincount(cols, minlength=1 << r).astype(np.min_scalar_type(n))
+    # mult[u][x]: the u-dimensional subspaces holding exactly x columns
+    mult = [np.bincount(hist[elems].sum(axis=1, dtype=np.intp), minlength=n + 1).tolist()
+            for elems in _subspaces(r)]
+    mu = [(-1) ** c * 2 ** (c * (c - 1) // 2) for c in range(r + 1)]
+
+    def weighted(weights):  # coef[x] = sum_u weights[u] mult[u][x]
+        return [sum(w * h for w, h in zip(weights, col)) for col in zip(*mult)]
+
+    coef = weighted(mu[::-1])  # the spanning weights mu(W, F_2^r) do not depend on j
+    counts = []
+    for j in js:
+        if dual:
+            coef = weighted([mu[j - u] * _gaussian_binomial(r - u, j - u)
+                             for u in range(min(j, r) + 1)])
+        counts.append(sum(math.comb(x, j) * c for x, c in enumerate(coef) if c and x >= j))
+    return counts
+
+
 def _counted_vd(G: BinaryMatrix, max_subsets: int, samples_per_entry=None,
                 gen=None) -> DecodingVector:
-    """Count every entry m = k..n in one :func:`_count_full_rank` pass and build the vector.
+    """Count every entry m = k..n by one method and build the vector.
 
-    An entry is enumerated when C(n, m) <= ``max_subsets``, else sampled
-    from ``samples_per_entry`` draws of ``gen``, in the order of m.
-    Without ``samples_per_entry`` an oversized entry is an error, raised
-    before any subset is ranked; C(n, m) over m >= k peaks at
-    m = max(k, n // 2), so that one binomial decides it.
+    Without ``samples_per_entry`` the vector is exact.  It is counted by
+    :func:`_mobius_counts` on the columns :func:`_rank_space` ranks on
+    (H's for a high-rate code, else G's) when min(k, n - k) <=
+    ``_MOBIUS_RANK`` and either the code is high-rate or some C(n, m)
+    exceeds ``max_subsets``; otherwise it is enumerated by one
+    :func:`_count_full_rank` pass.  A code that is neither, with k and
+    n - k both over ``_MOBIUS_RANK``, is an error raised before any work.
+    C(n, m) over m >= k peaks at m = max(k, n // 2), so that one binomial
+    decides "oversized".  With ``samples_per_entry`` an entry is enumerated
+    when C(n, m) <= ``max_subsets``, else sampled from that many draws of
+    ``gen``, in the order of m.
     """
     k, n = G.shape
     if k > n:
         raise ValueError(f"generator must have k <= n, got {k}x{n}")
     if max_subsets < 1:
         raise ValueError(f"max_subsets must be >= 1, got {max_subsets}")
-    widest = max(k, n // 2)
-    if samples_per_entry is None and math.comb(n, widest) > max_subsets:
-        raise ValueError(
-            f"C({n},{widest}) = {math.comb(n, widest)} exceeds the enumeration limit "
-            f"{max_subsets}; estimate it by sampling (sampled_vd, or --samples N)"
-        )
     sizes = range(k, n + 1)
-    exact = {m: math.comb(n, m) for m in sizes if math.comb(n, m) <= max_subsets}
-    sampled = [m for m in sizes if m not in exact]
+    totals = [math.comb(n, m) for m in sizes]
+    widest = max(k, n // 2)
+    oversized = totals[widest - k] > max_subsets
+    if samples_per_entry is None and (oversized or 0 < n - k < k):
+        if min(k, n - k) <= _MOBIUS_RANK:
+            space = _rank_space(G)
+            counts = [0] * len(sizes)
+            if space is not None:
+                packed, rows, dual = space
+                counts = _mobius_counts(packed[:, 0].astype(np.intp), rows,
+                                        [n - m if dual else m for m in sizes], dual)
+            return DecodingVector(n, k, [c / t for c, t in zip(counts, totals)], counts, totals)
+        if oversized:
+            raise ValueError(
+                f"C({n},{widest}) = {totals[widest - k]} exceeds the enumeration limit "
+                f"{max_subsets}, and k = {k} and n - k = {n - k} both exceed {_MOBIUS_RANK}, "
+                f"the largest that Mobius counting takes; estimate it by sampling "
+                f"(sampled_vd, or --samples N)"
+            )
+    exact = [m for m, t in zip(sizes, totals) if t <= max_subsets]
+    sampled = [m for m, t in zip(sizes, totals) if t > max_subsets]
     found = dict(zip([*exact, *sampled],
-                     _count_full_rank(G, list(exact), sampled, samples_per_entry, gen)))
+                     _count_full_rank(G, exact, sampled, samples_per_entry, gen)))
     counts = [found[m] for m in sizes]
-    totals = [exact.get(m, samples_per_entry) for m in sizes]
-    samples = [0 if m in exact else samples_per_entry for m in sizes]
+    samples = [0 if t <= max_subsets else samples_per_entry for t in totals]
+    totals = [s or t for s, t in zip(samples, totals)]
     return DecodingVector(n, k, [c / t for c, t in zip(counts, totals)], counts, totals, samples)
 
 
 def exact_vd(G: BinaryMatrix, max_subsets: int = EXACT_ENUMERATION_LIMIT) -> DecodingVector:
-    """Exact decoding vector by full subset enumeration.
+    """Exact decoding vector: full-rank (k+i)-subsets over C(n, k+i), as integer ratios.
 
-    Every entry is an integer ratio: full-rank (k+i)-subsets over C(n, k+i).
-    Raises if any C(n, k+i) exceeds ``max_subsets``; use :func:`sampled_vd`
-    for those codes.
+    A high-rate code (0 < n - k < k) with n - k <= 7 is counted by Mobius
+    inversion over the subspaces of F_2^(n-k) on its parity-check matrix,
+    whatever ``max_subsets`` is.  Otherwise the subsets are enumerated when
+    every C(n, k+i) is at most ``max_subsets``, and a code beyond that is
+    counted by Mobius inversion over F_2^k when k <= 7.  Raises when some
+    C(n, k+i) exceeds ``max_subsets`` and k and n - k both exceed 7; use
+    :func:`sampled_vd` for those codes.
     """
     return _counted_vd(G, max_subsets)
 
@@ -352,17 +461,28 @@ def sampled_vd(G: BinaryMatrix, samples_per_entry: int, rng,
     return _counted_vd(G, max_subsets, samples_per_entry, np.random.default_rng(rng))
 
 
+@functools.cache
+def _log_binomials(n: int) -> tuple[float, ...]:
+    """log C(n, i) for i = 0..n as lgamma(n+1) - lgamma(i+1) - lgamma(n-i+1), kept per n."""
+    lg = math.lgamma(n + 1)
+    return tuple(lg - math.lgamma(i + 1) - math.lgamma(n - i + 1) for i in range(n + 1))
+
+
 def _loss_terms(n: int, p: float) -> list[float]:
-    """C(n, i) p^i (1-p)^(n-i) for i = 0..n, switching to logarithms for large n."""
+    """C(n, i) p^i (1-p)^(n-i) for i = 0..n, switching to logarithms for large n.
+
+    The log route adds i log p and (n - i) log(1-p) to the kept
+    :func:`_log_binomials` in the order of one left-to-right expression, so
+    every term is the same float as when it was evaluated whole.
+    """
     if n <= 60:
         return [math.comb(n, i) * p**i * (1.0 - p) ** (n - i) for i in range(n + 1)]
     if p == 0.0:
         return [1.0] + [0.0] * n
     if p == 1.0:
         return [0.0] * n + [1.0]
-    lg, lp, lq = math.lgamma(n + 1), math.log(p), math.log1p(-p)
-    return [math.exp(lg - math.lgamma(i + 1) - math.lgamma(n - i + 1) + i * lp + (n - i) * lq)
-            for i in range(n + 1)]
+    lp, lq = math.log(p), math.log1p(-p)
+    return [math.exp(lc + i * lp + (n - i) * lq) for i, lc in enumerate(_log_binomials(n))]
 
 
 def p_success(vd: DecodingVector, p: float) -> ChannelPoint:

@@ -291,9 +291,8 @@ def parse_matrix(text: str) -> BinaryMatrix:
         raise ValueError(f"line {k + 2}: unexpected trailing content")
     if len(lines) - 1 < k:
         raise ValueError(f"line {len(lines) + 1}: expected {k} rows, found {len(lines) - 1}")
-    rows = np.zeros((k, n), dtype=np.uint8)
     for i, line in enumerate(lines[1:]):
-        if len(line) != n or any(c not in "01" for c in line):
+        if len(line) != n or line.strip("01"):
             raise ValueError(f"line {i + 2}: expected exactly {n} characters from {{0,1}}, got {line!r}")
-        rows[i] = [1 if c == "1" else 0 for c in line]
-    return BinaryMatrix(rows)
+    body = "".join(lines[1:]).encode("ascii")
+    return BinaryMatrix(np.frombuffer(body, dtype=np.uint8).reshape(k, n) - ord("0"))

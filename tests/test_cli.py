@@ -188,6 +188,28 @@ class TestEval:
                               text=True, timeout=60)
         assert proc.stdout.splitlines()[-1] == "0 False", proc.stderr
 
+    def test_subspace_tables_are_built_on_first_use(self, tmp_path):
+        # a [12,8] vector is counted over the subspaces of F_2^4, and only that table is built
+        path = tmp_path / "g_12_8.txt"
+        path.write_text(xc.format_matrix(xc.random_matrix(8, 12, np.random.default_rng(0))))
+        script = ("from xorcodes import cli, decoding; "
+                  "before = decoding._subspaces.cache_info().currsize; "
+                  f"code = cli.main(['eval', {str(path)!r}, '--out-vd', '/dev/null']); "
+                  "print(code, before, decoding._subspaces.cache_info().currsize)")
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=60)
+        assert proc.stdout.splitlines()[-1] == "0 0 1", proc.stderr
+
+    def test_low_rate_code_beyond_the_enumeration_limit(self, capsys, tmp_path):
+        # C(40, 20) is over the limit, and k = 5 is counted by Mobius inversion
+        path = tmp_path / "c_40_5.txt"
+        path.write_text(xc.format_matrix(xc.random_matrix(5, 40, np.random.default_rng(40))))
+        code, out, err = run(capsys, "eval", str(path), "--out-sweep", "/dev/null")
+        rows = out.splitlines()[2:]
+        assert code == 0 and err == ""
+        assert len(rows) == 36 and all(",exact,0.0" in row for row in rows)
+
 
 class TestBaseline:
     def test_known_first_entry(self, capsys):
@@ -294,6 +316,13 @@ class TestSearch:
         code, _, err = run(capsys, "search", "--n", "13", "--k", "5", "--attempts", "60",
                            "--out", bad)
         assert code == 2 and bad in err
+
+    def test_low_rate_code_beyond_the_enumeration_limit(self, capsys, tmp_path):
+        out_path = tmp_path / "family.txt"
+        code, out, err = run(capsys, "search", "--n", "40", "--k", "5", "--attempts", "1",
+                             "--max-climb-steps", "2", "--out", str(out_path))
+        assert code == 0 and err == ""
+        assert out.splitlines()[1].count(",") == 35
 
     def test_algorithm_one(self, capsys, tmp_path):
         # at --k 2 the default --k1 3 exceeds k, but algorithm 1 never reads k1

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import tracemalloc
@@ -12,7 +13,8 @@ from hypothesis import strategies as st
 import xorcodes as xc
 from xorcodes import decoding
 from xorcodes.decoding import (_comb_table, _count_full_rank, _distinct_rows, _loss_terms,
-                               _rank_space, _subset_blocks, _unrank, format_float)
+                               _mobius_counts, _rank_space, _subset_blocks, _subspaces, _unrank,
+                               format_float)
 from xorcodes.gf2 import rank_batch
 
 # frozen by independent naive enumeration of the shipped [13,5] matrix
@@ -57,6 +59,19 @@ def high_rate_96():
     G = xc.random_matrix(6, 9, np.random.default_rng(1))
     assert xc.rank(G) == 6 and _rank_space(G)[2]
     return G
+
+
+def column_ints(M):
+    """M's columns as integers, bit i = row i."""
+    return (1 << np.arange(M.rows)) @ M.array.astype(np.intp)
+
+
+def structured_44_40():
+    """c8's structured [44,40]: a balanced nonsingular block, an all-ones column, 3 random."""
+    rng = np.random.default_rng(44)
+    block = xc.random_balanced_nonsingular(40, 3, rng).array
+    return xc.BinaryMatrix(np.hstack([block, np.ones((40, 1), np.uint8),
+                                      rng.integers(0, 2, (40, 3), dtype=np.uint8)]))
 
 
 def repeated_last_row(k, n, seed):
@@ -188,12 +203,13 @@ class TestExactVd:
         # a shared Generator moves on exactly as it does for a full-rank code
         assert gens[0].random() == gens[1].random()
 
-    @pytest.mark.parametrize("shape", [None, (3, 7), (40, 44)], ids=["g135", "7-3", "dual-44-40"])
+    @pytest.mark.parametrize("shape", [None, (3, 7), (12, 20)], ids=["g135", "7-3", "dual-20-12"])
     def test_ranks_every_subset_once(self, g135, monkeypatch, shape):
-        # the benchmark's traced invariant: rank_batch sees exactly sum_m C(n, m) sets
+        # the benchmark's traced invariant: rank_batch sees exactly sum_m C(n, m) sets;
+        # [20,12] is enumerated on its dual, since n - k = 8 is beyond Mobius counting
         G = g135 if shape is None else xc.random_matrix(*shape, np.random.default_rng(3))
         k, n = G.shape
-        assert xc.rank(G) == k and bool(_rank_space(G)[2]) == (shape == (40, 44))
+        assert xc.rank(G) == k and bool(_rank_space(G)[2]) == (shape == (12, 20))
         ranked = []
 
         def counting(colsets, rows):
@@ -265,16 +281,16 @@ class TestExactVd:
 
     def test_cold_unranked_vector_memory_stays_bounded(self):
         # [44,40] ranks on its 4-row dual: C(44, 4) = 135,751 subsets in three unranked
-        # blocks; unranking a whole 65,536-wide block at once peaks at about 4.3 MiB
-        rng = np.random.default_rng(44)
-        block = xc.random_balanced_nonsingular(40, 3, rng).array
-        G = xc.BinaryMatrix(np.hstack([block, np.ones((40, 1), np.uint8),
-                                       rng.integers(0, 2, (40, 3), dtype=np.uint8)]))
-        xc.exact_vd(G)  # warm-up: imports
+        # blocks; unranking a whole 65,536-wide block at once peaks at about 4.3 MiB.
+        # exact_vd counts this code by Mobius inversion, so the vector is enumerated
+        # through sampled_vd with every entry within max_subsets: no entry is sampled
+        G = structured_44_40()
+        enumerated = functools.partial(xc.sampled_vd, G, 1, 0, max_subsets=math.comb(44, 4))
+        assert enumerated().mode == "exact"  # warm-up: imports
         _comb_table.cache_clear()
         tracemalloc.start()
         try:
-            vd = xc.exact_vd(G)
+            vd = enumerated()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -321,6 +337,89 @@ class TestExactVd:
     def test_monotone_counts(self, vd135):
         fracs = [Fraction(c, t) for c, t in zip(vd135.counts, vd135.totals)]
         assert all(a <= b for a, b in zip(fracs, fracs[1:]))
+
+
+class TestMobius:
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(st.data())
+    def test_primal_dual_enumeration_and_rank_agree(self, data):
+        # primal, dual and rank-deficient codes; repeated and zero columns
+        k = data.draw(st.integers(1, 6), label="k")
+        n = data.draw(st.integers(k, 10), label="n")
+        r = data.draw(st.just(k) | st.integers(1, k), label="rank")  # rows r..k-1 are zero
+        rest = st.lists(st.integers(0, 2**r - 1), min_size=n - r, max_size=n - r)
+        cols = data.draw(st.permutations([1 << i for i in range(r)] + data.draw(rest)),
+                         label="cols")
+        G = xc.BinaryMatrix([[c >> i & 1 for c in cols] for i in range(k)])
+        ranks = {j: [xc.rank(xc.select_columns(G, c)) if j else 0
+                     for c in itertools.combinations(range(n), j)] for j in range(n + 1)}
+        sizes = range(k, n + 1)
+        want = [ranks[m].count(k) for m in sizes]
+        assert _mobius_counts(column_ints(G), k, sizes, False) == want
+        assert _count_full_rank(G, sizes) == want
+        if r == k < n:
+            H = xc.parity_check(G)
+            assert _mobius_counts(column_ints(H), n - k, [n - m for m in sizes], True) == want
+        # the dual form on G's own columns counts their independent j-subsets
+        assert _mobius_counts(column_ints(G), k, range(k + 1), True) == [
+            ranks[j].count(j) for j in range(k + 1)]
+
+    def test_subspace_table_holds_every_subspace_once(self):
+        for r in range(7):
+            # [r choose u]_2: ordered bases of a u-space of F_2^r over those of F_2^u
+            want = [math.prod(2**r - 2**i for i in range(u))
+                    // math.prod(2**u - 2**i for i in range(u)) for u in range(r + 1)]
+            assert [len(t) for t in _subspaces(r)] == want
+        table = _subspaces(5)
+        assert sum(len(t) for t in table) == 374
+        seen = set()
+        for u, t in enumerate(table):
+            assert t.shape[1] == 2**u and t.dtype == np.uint8 and not t.flags.writeable
+            for row in t.tolist():
+                elems = frozenset(row)
+                assert len(elems) == 2**u and {a ^ b for a in elems for b in elems} == elems
+                seen.add(elems)
+        assert len(seen) == 374
+
+    def test_low_rate_vector_matches_the_codeword_support_oracle(self):
+        # e erasures fail exactly when they cover the support of a nonzero codeword
+        G = xc.random_matrix(5, 40, np.random.default_rng(40))
+        k, n = G.shape
+        assert xc.rank(G) == k and math.comb(n, n // 2) > xc.EXACT_ENUMERATION_LIMIT
+        words = np.array(list(itertools.product([0, 1], repeat=k)))[1:] @ G.array % 2
+        weights = np.bincount(words.sum(axis=1), minlength=n + 1).tolist()
+        d = next(w for w, a in enumerate(weights) if a)
+        assert d >= 3
+        vd = xc.exact_vd(G)
+        assert vd.mode == "exact" and vd.totals == tuple(math.comb(n, m) for m in range(k, n + 1))
+        failures = {n - m: t - c for m, c, t in zip(range(k, n + 1), vd.counts, vd.totals)}
+        assert all(failures[e] == 0 for e in range(d))
+        assert failures[d] == weights[d]
+        assert failures[d + 1] == weights[d + 1] + (n - d) * weights[d]
+
+    def test_high_rate_vector_ranks_nothing(self, monkeypatch):
+        G = structured_44_40()
+        want = _count_full_rank(G, range(40, 45))
+
+        def refuse(*args):
+            raise AssertionError("rank_batch called on a Mobius-counted code")
+
+        monkeypatch.setattr(decoding, "rank_batch", refuse)
+        vd = xc.exact_vd(G)
+        assert vd.counts == tuple(want) and vd.totals == tuple(math.comb(44, m) for m in range(40, 45))
+
+    def test_oversized_low_rate_vector_ranks_nothing(self, g135, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("rank_batch called on a Mobius-counted code")
+
+        monkeypatch.setattr(decoding, "rank_batch", refuse)
+        vd = xc.exact_vd(g135, max_subsets=1)
+        assert vd.counts == COUNTS_13_5 and vd.totals == TOTALS_13_5
+
+    def test_refusal_names_the_rule(self):
+        G = xc.random_matrix(10, 30, np.random.default_rng(0))
+        with pytest.raises(ValueError, match=r"k = 10 and n - k = 20 both exceed 7.*--samples"):
+            xc.exact_vd(G, max_subsets=1000)
 
 
 class TestSampledVd:

@@ -359,3 +359,10 @@ class TestMatrixText:
     def test_header_takes_ascii_digits_only(self):
         with pytest.raises(ValueError, match="line 1: expected header"):
             xc.parse_matrix("\u00b2 3\n101\n011\n")
+
+    def test_rows_take_ascii_digits_only(self):
+        # "١" is ARABIC-INDIC DIGIT ONE: a digit, but not a 0/1 character
+        with pytest.raises(ValueError) as exc:
+            xc.parse_matrix("2 3\n101\n1١0\n")
+        assert str(exc.value) == ("line 3: expected exactly 3 characters from {0,1}, "
+                                  "got '1١0'")
