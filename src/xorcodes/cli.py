@@ -187,6 +187,11 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    # simulate_ps refuses these too, but only after the reference vector is built
+    if not 0.0 <= args.p <= 1.0:
+        raise _CliError(f"erasure probability must be in [0, 1], got {args.p}")
+    if args.trials < 1:
+        raise _CliError(f"trials must be >= 1, got {args.trials}")
     G = _read_matrix(args.matrix)
     # the reference comes first so that a code it refuses costs no trials;
     # its seed differs from the simulation's, so the order changes no draw

@@ -16,9 +16,9 @@ table of subspaces is built on the first use of each r.  Otherwise one
 counter ranks every entry, enumerated and sampled, as one stream of blocks
 of subset index tables: the enumerated entries first, in blocks of up to
 65,536 subsets that may mix sizes, then each sampled entry in blocks of
-4,096 draws.  The columns are taken once as limb-major words (one uint8
-row for up to 8 rows), and a block is filled limb by limb with 1-d
-gathers and ranked in one batch call, so a [13,5] vector is one call.
+4,096 draws.  The columns are packed once, in the word ``pack_columns``
+chooses (uint8 for up to 8 rows), and a block is filled limb by limb with
+1-d gathers and ranked in one batch call, so a [13,5] vector is one call.
 Subset index tables are unranked in numpy by the combinatorial number
 system.  The intp table of every size that fits one block is built once
 per process and reused, since a search scores thousands of codes of one
@@ -65,13 +65,13 @@ __all__ = [
 EXACT_ENUMERATION_LIMIT = 2_000_000
 
 # Largest r whose subspaces of F_2^r the Mobius counter sums over: an exact
-# vector is counted that way when min(k, n - k) is at most this.
+# vector is counted that way when its rank space has at most this many rows.
 _MOBIUS_RANK = 7
 
 _CHUNK = 65_536
 _SAMPLE_CHUNK = 4096
 # Bytes of float64 erasure draws per simulate_ps chunk; the (rows, n, limbs)
-# uint64 sets it ranks take at most this much per limb.
+# sets it ranks, in packed words of at most 8 bytes, take at most as much.
 _SIMULATION_CHUNK_BYTES = 8 << 20
 
 
@@ -239,45 +239,41 @@ def _subset_blocks(n: int, sizes):
         yield block
 
 
-def _rank_space(G: BinaryMatrix) -> tuple[np.ndarray, int, bool] | None:
-    """Packed columns to rank column sets on, their row count, and whether they are the dual's.
+def _rank_space(G: BinaryMatrix) -> tuple[np.ndarray | None, int, bool]:
+    """(packed, rows, dual): the packed columns to rank column sets on, their row count,
+    and whether they are the dual's.
 
     A column set S of a rank-k G spans F_2^k exactly when the complementary
     columns of its parity-check matrix H are independent (matroid duality).
-    When 0 < n - k < k and G has rank k, sets are ranked on H's n - k rows;
-    otherwise on G itself.  None when H already shows rank(G) < k, so that
-    no column set is full rank.
+    A high-rate code (0 < n - k < k) is ranked on H's n - k rows, with
+    ``packed`` None when H shows rank(G) < k; any other code on G itself.
     """
     k, n = G.shape
     if 0 < n - k < k:
         H = parity_check(G)
-        if H.rows > n - k:
-            return None
-        return pack_columns(H.array), n - k, True
+        return (pack_columns(H.array) if H.rows == n - k else None), n - k, True
     return pack_columns(G.array), k, False
 
 
-def _count_full_rank(G: BinaryMatrix, enumerated, sampled=(), samples=0, gen=None) -> list[int]:
-    """Full-rank m-subsets of G's columns: among all C(n, m) for each m in ``enumerated``,
-    then among ``samples`` uniform draws of ``gen`` for each m in ``sampled``, in that order.
+def _count_full_rank(space, n: int, enumerated, sampled=(), samples=0, gen=None) -> list[int]:
+    """Full-rank m-subsets of the n columns ranked on ``space`` (:func:`_rank_space`): among
+    all C(n, m) for each m in ``enumerated``, then among ``samples`` uniform
+    draws of ``gen`` for each m in ``sampled``, in that order.
 
     All entries are one stream of (j, table) blocks: :func:`_subset_blocks`,
     then one block per ``_SAMPLE_CHUNK`` draws, each row of iid uniforms
     taking the m-subset of its m smallest values.  The columns are taken
-    once as limb-major words: ``packed.T`` in the narrowest unsigned word
-    for up to 64 rows, uint64 limbs above.  A block is ranked in one
-    :func:`rank_batch` call on a zeroed (limbs, width, count) array, width
-    its largest j; each table gathers every limb into its first j rows,
-    and the zero columns below are inert.  On the dual of
+    once as limb-major words, a C-ordered ``packed.T``.  A block is ranked
+    in one :func:`rank_batch` call on a zeroed (limbs, width, count) array,
+    width its largest j; each table gathers every limb into its first j
+    rows, and the zero columns below are inert.  On the dual of
     :func:`_rank_space` an m-subset is full rank when its complementary
     (n - m)-subset is independent, so j = n - m and a rank of j counts; on
-    the primal j = m and the row count does.  A rank-deficient G ranks
-    nothing, but still takes the draws, so that a shared generator moves
-    on identically.
+    the primal j = m and the row count does.  A space without ``packed``
+    ranks nothing, but still takes the draws, so that a shared generator
+    moves on identically.
     """
-    n = G.cols
-    space = _rank_space(G)
-    packed, rows, dual = space or (None, 0, False)
+    packed, rows, dual = space
     js = [n - m if dual else m for m in (*enumerated, *sampled)]
     # one expression per chunk, so that its (count, n) draws and argpartition
     # are freed before the yield and only the (j, count) table is kept
@@ -285,11 +281,11 @@ def _count_full_rank(G: BinaryMatrix, enumerated, sampled=(), samples=0, gen=Non
                [:, slice(m, None) if dual else slice(m)].T.astype(np.int32))]
              for m, j in zip(sampled, js[len(enumerated):])
              for done in range(0, samples, _SAMPLE_CHUNK))
-    if space is None:
+    if packed is None:
         for _ in draws:
             pass
         return [0] * len(js)
-    words = packed.T.astype(np.min_scalar_type((1 << min(rows, 64)) - 1), order="C")
+    words = np.ascontiguousarray(packed.T)
     counts = dict.fromkeys(js, 0)
     for block in itertools.chain(_subset_blocks(n, js[:len(enumerated)]), draws):
         bounds = [0, *itertools.accumulate(table.shape[1] for _, table in block)]
@@ -386,12 +382,12 @@ def _counted_vd(G: BinaryMatrix, max_subsets: int, samples_per_entry=None,
     """Count every entry m = k..n by one method and build the vector.
 
     Without ``samples_per_entry`` the vector is exact.  It is counted by
-    :func:`_mobius_counts` on the columns :func:`_rank_space` ranks on
-    (H's for a high-rate code, else G's) when min(k, n - k) <=
-    ``_MOBIUS_RANK`` and either the code is high-rate or some C(n, m)
-    exceeds ``max_subsets``; otherwise it is enumerated by one
-    :func:`_count_full_rank` pass.  A code that is neither, with k and
-    n - k both over ``_MOBIUS_RANK``, is an error raised before any work.
+    :func:`_mobius_counts` on the :func:`_rank_space` columns (H's for a
+    high-rate code, else G's) when they have at most ``_MOBIUS_RANK`` rows
+    and either they are H's or some C(n, m) exceeds ``max_subsets``;
+    otherwise it is enumerated by one :func:`_count_full_rank` pass.  An
+    oversized code with more rows (k and n - k both over ``_MOBIUS_RANK``)
+    is an error raised before anything is ranked.
     C(n, m) over m >= k peaks at m = max(k, n // 2), so that one binomial
     decides "oversized".  With ``samples_per_entry`` an entry is enumerated
     when C(n, m) <= ``max_subsets``, else sampled from that many draws of
@@ -406,13 +402,12 @@ def _counted_vd(G: BinaryMatrix, max_subsets: int, samples_per_entry=None,
     totals = [math.comb(n, m) for m in sizes]
     widest = max(k, n // 2)
     oversized = totals[widest - k] > max_subsets
-    if samples_per_entry is None and (oversized or 0 < n - k < k):
-        if min(k, n - k) <= _MOBIUS_RANK:
-            space = _rank_space(G)
+    packed, rows, dual = space = _rank_space(G)
+    if samples_per_entry is None and (oversized or dual):
+        if rows <= _MOBIUS_RANK:
             counts = [0] * len(sizes)
-            if space is not None:
-                packed, rows, dual = space
-                counts = _mobius_counts(packed[:, 0].astype(np.intp), rows,
+            if packed is not None:
+                counts = _mobius_counts(packed[:, 0], rows,
                                         [n - m if dual else m for m in sizes], dual)
             return DecodingVector(n, k, [c / t for c, t in zip(counts, totals)], counts, totals)
         if oversized:
@@ -425,7 +420,7 @@ def _counted_vd(G: BinaryMatrix, max_subsets: int, samples_per_entry=None,
     exact = [m for m, t in zip(sizes, totals) if t <= max_subsets]
     sampled = [m for m, t in zip(sizes, totals) if t > max_subsets]
     found = dict(zip([*exact, *sampled],
-                     _count_full_rank(G, exact, sampled, samples_per_entry, gen)))
+                     _count_full_rank(space, n, exact, sampled, samples_per_entry, gen)))
     counts = [found[m] for m in sizes]
     samples = [0 if t <= max_subsets else samples_per_entry for t in totals]
     totals = [s or t for s, t in zip(samples, totals)]
@@ -594,15 +589,14 @@ def simulate_ps(G: BinaryMatrix, p: float, trials: int, rng) -> SimulationResult
         raise ValueError(f"trials must be >= 1, got {trials}")
     gen = np.random.default_rng(rng)
     n = G.cols
-    space = _rank_space(G)
+    packed, rows, dual = _rank_space(G)
     chunk = max(1, _SIMULATION_CHUNK_BYTES // (8 * n))
     draws = np.empty((min(chunk, trials), n))
     successes = 0
     for done in range(0, trials, chunk):
         keep = gen.random(out=draws[:trials - done]) >= p
-        if space is None:
+        if packed is None:
             continue
-        packed, rows, dual = space
         ranked, weight = _distinct_rows(~keep if dual else keep)
         full = ranked.sum(axis=1) if dual else rows
         sets = np.where(ranked[:, :, None], packed, 0)

@@ -2,14 +2,12 @@
 
 The :class:`BinaryMatrix` value type holds only a frozen dense 0/1 array.
 :func:`pack_columns` builds, on demand, the column-major bit-packed layout
-(uint64 limbs, one bit per row) that the batch rank kernel reads.
+(one bit per row) that the batch rank kernel reads, and alone chooses its
+word: the narrowest unsigned word that holds the rows, else uint64 limbs.
 Single-matrix rank runs Gaussian elimination on rows packed into Python
 integers, so row XOR is word-wide regardless of width.  The batch kernel
-:func:`rank_batch` takes its columns in any unsigned word that holds k
-rows (several limbs are uint64), as any strided view.  It copies each
-block of collections to a (limbs, columns, collections) array in the
-narrowest unsigned word that holds k rows (uint8 up to 8 rows, uint16 up
-to 16, uint32 up to 32, else uint64 limbs) and, from the top limb down,
+:func:`rank_batch` copies each block of collections to a (limbs, columns,
+collections) array in the word it is handed and, from the top limb down,
 clears the highest leading bit of every collection at once: the column
 with the largest top limb is the pivot, and each step is a handful of
 numpy reductions across contiguous rows.
@@ -38,8 +36,8 @@ __all__ = [
 ]
 
 # Bytes of collections rank_batch eliminates at a time, counting 8 bytes per
-# limb whatever the word, so the working copy of a uint8 block is 1/8 of it:
-# big enough to amortise the per-step numpy calls, small enough to stay in cache.
+# limb whatever word it is handed, so a uint8 block's working copy is 1/8 of
+# it: big enough to amortise the per-step numpy calls, small enough for cache.
 _BLOCK_BYTES = 1 << 18
 
 
@@ -106,12 +104,16 @@ class BinaryMatrix:
 
 
 def pack_columns(a: np.ndarray) -> np.ndarray:
-    """Pack a (k, n) 0/1 array into (n, ceil(k/64)) uint64 column limbs."""
+    """Pack a (k, n) 0/1 array into (n, ceil(k/64)) column limbs, bit j of limb j // 64 = row j.
+
+    One limb is the narrowest unsigned word that holds k bits; several limbs are uint64.
+    """
     k, n = a.shape
     limbs = (k + 63) // 64
-    out = np.zeros((n, limbs), dtype=np.uint64)
+    word = np.min_scalar_type((1 << min(k, 64)) - 1)
+    out = np.zeros((n, limbs), dtype=word)
     for j in range(k):
-        out[:, j // 64] |= a[j, :].astype(np.uint64) << np.uint64(j % 64)
+        out[:, j // 64] |= a[j, :].astype(word) << word.type(j % 64)
     return out
 
 
@@ -213,8 +215,8 @@ def rank_batch(colsets: np.ndarray, k: int) -> np.ndarray:
     ``colsets`` has shape (N, m, limbs): N independent collections of m
     bit-packed columns over a k-row space (limbs = ceil(k/64), bit j of
     limb j // 64 = row j).  A single limb may be any unsigned word that
-    holds k bits, such as the uint64 of :func:`pack_columns` or a uint8
-    for k <= 8; several limbs are uint64.  Any strided view is accepted.
+    holds k bits, such as the narrowest one :func:`pack_columns` chooses;
+    several limbs are uint64.  Any strided view is accepted.
     Bits at rows k and above must be zero, as :func:`pack_columns` leaves
     them; they are not checked.  Zero columns are ignored, so collections
     of different sizes can share one padded array; an empty collection has
@@ -222,17 +224,15 @@ def rank_batch(colsets: np.ndarray, k: int) -> np.ndarray:
 
     Collections are eliminated one block of ``_BLOCK_BYTES // (8 m limbs)``
     at a time.  Each block is copied to a C-ordered (limbs, m, sets)
-    array of the narrowest unsigned word that holds k bits: uint8 for
-    k <= 8, uint16 for k <= 16, uint32 for k <= 32, and uint64 limbs
-    otherwise, so a small k moves up to 8x fewer bytes per step.  One
-    collection's columns run down a row of contiguous set slots and
-    every reduction is across rows.  Limbs are eliminated from the top
-    one down.  Each step takes every collection's largest value p of the
-    current limb: its leading bit is the highest one left, and its column
-    is the pivot.  Every column holding that bit (``c ^ p < c``) is XORed
-    with the pivot, lower limbs included, which retires the pivot and
-    clears the bit; the step adds 1 to the rank of each collection whose
-    p is nonzero.  A limb of b bits is clear after min(m, b) steps.
+    array in the word it was handed.  One collection's columns run down a
+    row of contiguous set slots and every reduction is across rows.  Limbs
+    are eliminated from the top one down.  Each step takes every
+    collection's largest value p of the current limb: its leading bit is
+    the highest one left, and its column is the pivot.  Every column
+    holding that bit (``c ^ p < c``) is XORed with the pivot, lower limbs
+    included, which retires the pivot and clears the bit; the step adds 1
+    to the rank of each collection whose p is nonzero.  A limb of b bits
+    is clear after min(m, b) steps.
     Returns an (N,) int64 rank vector.
     """
     if colsets.ndim != 3:
@@ -246,11 +246,10 @@ def rank_batch(colsets: np.ndarray, k: int) -> np.ndarray:
     ranks = np.zeros(N, dtype=np.int64)
     if not colsets.size:
         return ranks
-    word = np.min_scalar_type((1 << min(k, 64)) - 1)
     step = max(1, _BLOCK_BYTES // (m * limbs * 8))
     for start in range(0, N, step):
         # astype always copies, so the in-place XORs never reach the caller
-        A = colsets[start:start + step].transpose(2, 1, 0).astype(word, order="C")
+        A = colsets[start:start + step].transpose(2, 1, 0).astype(colsets.dtype, order="C")
         block_ranks = ranks[start:start + step]
         sets = np.arange(A.shape[2])
         for limb in range(limbs - 1, -1, -1):

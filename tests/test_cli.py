@@ -1,5 +1,6 @@
 import argparse
 import hashlib
+import itertools
 import os
 import shutil
 import subprocess
@@ -368,6 +369,22 @@ class TestSimulate:
         code, _, err = run(capsys, "simulate", GOLDEN, "--p", "1.5")
         assert code == 2
         assert err.startswith("error:")
+
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--p", "1.5", "erasure probability must be in [0, 1], got 1.5"),
+        ("--p", "-0.1", "erasure probability must be in [0, 1], got -0.1"),
+        ("--p", "nan", "erasure probability must be in [0, 1], got nan"),
+        ("--trials", "0", "trials must be >= 1, got 0"),
+    ], ids=["p-above-1", "p-below-0", "p-nan", "trials-0"])
+    def test_bad_arguments_cost_no_reference_vector(self, capsys, monkeypatch, flag, value,
+                                                    message):
+        def no_reference(*args, **kwargs):
+            raise AssertionError("the reference vector was computed")
+
+        monkeypatch.setattr("xorcodes.cli.exact_vd", no_reference)
+        argv = {"--p": "0.1", "--trials": "1000", flag: value}
+        code, _, err = run(capsys, "simulate", GOLDEN, *itertools.chain(*argv.items()))
+        assert code == 2 and err == f"error: {message}\n"
 
     def test_refused_reference_runs_no_trials(self, capsys, monkeypatch, tmp_path):
         def no_trials(*args, **kwargs):

@@ -154,7 +154,7 @@ class TestExactVd:
             xc.exact_vd(G, max_subsets=1000)
 
     def test_partial_sizes_count_only_those_sizes(self, g135):
-        counts = dict(zip([5, 8, 13], _count_full_rank(g135, [5, 8, 13])))
+        counts = dict(zip([5, 8, 13], _count_full_rank(_rank_space(g135), 13, [5, 8, 13])))
         assert counts == {5: 792, 8: 1284, 13: 1}
 
     @settings(max_examples=40, derandomize=True, deadline=None)
@@ -166,7 +166,7 @@ class TestExactVd:
                          label="bits")
         G = xc.BinaryMatrix(np.array(bits, dtype=np.uint8).reshape(k, n))
         sizes = data.draw(st.sets(st.integers(k, n), min_size=1), label="sizes")
-        counts = dict(zip(sizes, _count_full_rank(G, list(sizes))))
+        counts = dict(zip(sizes, _count_full_rank(_rank_space(G), n, list(sizes))))
         assert counts == brute_force_counts(G, sizes)
 
     @settings(max_examples=40, derandomize=True, deadline=None)
@@ -181,7 +181,7 @@ class TestExactVd:
         if xc.rank(G) == k:
             assert space[2]  # counted on the dual
         else:
-            assert space is None  # no column set is full rank
+            assert space[0] is None  # no column set is full rank
         assert xc.exact_vd(G).counts == tuple(brute_force_counts(G, range(k, n + 1)).values())
 
     def test_rank_deficient_high_rate_ranks_nothing(self, monkeypatch):
@@ -248,7 +248,7 @@ class TestExactVd:
                        reverse=data.draw(st.booleans(), label="descending"))
         chunk = data.draw(st.sampled_from([1, 3, 10, decoding._CHUNK]), label="chunk")
         with mock.patch.object(decoding, "_CHUNK", chunk):
-            got = _count_full_rank(G, sizes)
+            got = _count_full_rank(_rank_space(G), n, sizes)
         assert dict(zip(sizes, got)) == brute_force_counts(G, sizes)
 
     @pytest.mark.parametrize("k,n", [(65, 130), (66, 131)], ids=["primal-65", "dual-65"])
@@ -356,7 +356,7 @@ class TestMobius:
         sizes = range(k, n + 1)
         want = [ranks[m].count(k) for m in sizes]
         assert _mobius_counts(column_ints(G), k, sizes, False) == want
-        assert _count_full_rank(G, sizes) == want
+        assert _count_full_rank(_rank_space(G), n, sizes) == want
         if r == k < n:
             H = xc.parity_check(G)
             assert _mobius_counts(column_ints(H), n - k, [n - m for m in sizes], True) == want
@@ -381,10 +381,10 @@ class TestMobius:
                 seen.add(elems)
         assert len(seen) == 374
 
-    def test_low_rate_vector_matches_the_codeword_support_oracle(self):
+    @pytest.mark.parametrize("k,n", [(5, 40), (6, 60)], ids=["40-5", "60-6"])
+    def test_low_rate_vector_matches_the_codeword_support_oracle(self, k, n):
         # e erasures fail exactly when they cover the support of a nonzero codeword
-        G = xc.random_matrix(5, 40, np.random.default_rng(40))
-        k, n = G.shape
+        G = xc.random_matrix(k, n, np.random.default_rng(n))
         assert xc.rank(G) == k and math.comb(n, n // 2) > xc.EXACT_ENUMERATION_LIMIT
         words = np.array(list(itertools.product([0, 1], repeat=k)))[1:] @ G.array % 2
         weights = np.bincount(words.sum(axis=1), minlength=n + 1).tolist()
@@ -399,7 +399,7 @@ class TestMobius:
 
     def test_high_rate_vector_ranks_nothing(self, monkeypatch):
         G = structured_44_40()
-        want = _count_full_rank(G, range(40, 45))
+        want = _count_full_rank(_rank_space(G), 44, range(40, 45))
 
         def refuse(*args):
             raise AssertionError("rank_batch called on a Mobius-counted code")
@@ -444,6 +444,19 @@ class TestSampledVd:
         for i in range(len(vd)):
             se = max(vd.stderr[i], 1e-3)
             assert abs(vd.rho[i] - vd135.rho[i]) < 5 * se
+
+    def test_high_rate_entries_lie_near_the_exact_vector(self):
+        # a full-rank [60,53]: exact_vd counts it by dual Mobius, so every sampled
+        # entry has an exact value to be tested against with its binomial spread
+        G = xc.random_matrix(53, 60, np.random.default_rng(60))
+        assert xc.rank(G) == 53
+        exact = xc.exact_vd(G)
+        vd = xc.sampled_vd(G, 3000, 53, max_subsets=2000)
+        assert vd.samples == (3000,) * 5 + (0,) * 3  # C(60, m) > 2000 for m = 53..57
+        assert vd.counts[5:] == exact.counts[5:]
+        for rho, est, s in zip(exact.rho[:5], vd.rho[:5], vd.samples[:5]):
+            assert 0 < rho < 1
+            assert abs(est - rho) / math.sqrt(rho * (1 - rho) / s) <= 5
 
     def test_stderr_formula(self, g135):
         vd = xc.sampled_vd(g135, 250, 5, max_subsets=100)
@@ -716,6 +729,26 @@ class TestSimulatePs:
                    if row.any() and xc.rank(xc.select_columns(G, np.flatnonzero(row))) == k)
         assert res.successes == want
         assert (0 < want < trials) == (xc.rank(G) == k)
+
+    def test_high_rate_estimate_lies_near_the_exact_p_success(self):
+        G = xc.random_matrix(57, 64, np.random.default_rng(64))
+        assert xc.rank(G) == 57
+        truth = xc.p_success(xc.exact_vd(G), 0.06).p_s
+        res = xc.simulate_ps(G, 0.06, 20_000, 57)
+        assert 0 < truth < 1
+        assert abs(res.estimate - truth) / math.sqrt(truth * (1 - truth) / res.trials) <= 5
+
+    def test_ranks_patterns_in_the_packed_word(self, g135, monkeypatch):
+        want = xc.simulate_ps(g135, 0.3, 5000, 9)
+        dtypes = []
+
+        def recording(colsets, rows):
+            dtypes.append(colsets.dtype)
+            return rank_batch(colsets, rows)
+
+        monkeypatch.setattr(decoding, "rank_batch", recording)
+        assert xc.simulate_ps(g135, 0.3, 5000, 9) == want
+        assert dtypes == [np.uint8]
 
     def test_rejects_bad_args(self, g135):
         with pytest.raises(ValueError, match="trials"):

@@ -313,6 +313,16 @@ class TestRankBatch:
         assert packed.shape == (2, 1)
         assert packed[0, 0] == 0b101  # rows 0 and 2 set in column 0
         assert packed[1, 0] == 0b110
+        # the narrowest unsigned word that holds the rows, uint64 limbs above 64 rows
+        for k, dtype, limbs in [(3, np.uint8, 1), (9, np.uint16, 1), (17, np.uint32, 1),
+                                (33, np.uint64, 1), (65, np.uint64, 2)]:
+            M = xc.random_matrix(k, 7, np.random.default_rng(k))
+            packed = pack_columns(M.array)
+            assert packed.dtype == dtype and packed.shape == (7, limbs)
+            assert python_int_ranks(packed[None], k) == [xc.rank(M)]
+            # the last row lands in the highest bit that k rows use
+            top = packed[:, -1] >> dtype((k - 1) % 64) & dtype(1)
+            assert top.tolist() == M.array[-1].tolist()
 
 
 class TestMatrixText:
