@@ -6,6 +6,8 @@ emits the analytic random-code reference curves, and ``simulate`` runs the
 Monte Carlo channel check.  Every output starts with a single comment line
 holding the run manifest (resolved configuration, seed, artifact version,
 paths), so rerunning the same command reproduces the file byte for byte.
+The parser is built once per process, at import, and every ``main`` call
+reuses it; each option shared by two or more subcommands is declared once.
 """
 
 from __future__ import annotations
@@ -218,9 +220,19 @@ def _cmd_simulate(args) -> int:
 
 
 def _add_grid_flags(sub) -> None:
+    sub.add_argument("--out-vd", default="-", help="decoding vector CSV path (default stdout)")
+    sub.add_argument("--out-sweep", default="-", help="sweep CSV path (default stdout)")
     sub.add_argument("--p-min", type=float, default=0.0, help="sweep start (default 0.0)")
     sub.add_argument("--p-max", type=float, default=0.5, help="sweep end (default 0.5)")
     sub.add_argument("--p-step", type=float, default=0.01, help="sweep step (default 0.01)")
+
+
+def _add_counting_flags(sub, seed_help: str) -> None:
+    sub.add_argument("--seed", type=int, default=0, help=seed_help)
+    sub.add_argument("--samples", type=int, default=None,
+                     help="sample each oversized entry from this many subsets")
+    sub.add_argument("--max-subsets", type=int, default=EXACT_ENUMERATION_LIMIT,
+                     help="largest C(n, m) enumerated")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -230,64 +242,49 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"xorcodes {__version__}")
     subs = parser.add_subparsers(dest="subcommand", required=True)
-
     p_eval = subs.add_parser("eval", help="decoding vector and channel sweep of a matrix file")
-    p_eval.add_argument("matrix", help="generator matrix file")
-    p_eval.add_argument("--samples", type=int, default=None,
-                        help="estimate oversized entries from this many subsets")
-    p_eval.add_argument("--seed", type=int, default=0, help="sampling seed")
-    p_eval.add_argument("--max-subsets", type=int, default=EXACT_ENUMERATION_LIMIT,
-                        help="largest C(n, m) enumerated")
-    p_eval.add_argument("--out-vd", default="-", help="decoding vector CSV path (default stdout)")
-    p_eval.add_argument("--out-sweep", default="-", help="sweep CSV path (default stdout)")
-    _add_grid_flags(p_eval)
-    p_eval.set_defaults(func=_cmd_eval)
-
     p_search = subs.add_parser("search", help="stochastic search for good codes")
-    p_search.add_argument("--n", type=int, required=True, help="code length")
-    p_search.add_argument("--k", type=int, required=True, help="source packets")
+    p_base = subs.add_parser("baseline", help="analytic random-code reference vector")
+    p_sim = subs.add_parser("simulate", help="Monte Carlo channel check of a matrix file")
+
+    for sub in (p_eval, p_sim):
+        sub.add_argument("matrix", help="generator matrix file")
+    for sub in (p_search, p_base):
+        sub.add_argument("--n", type=int, required=True, help="code length")
+        sub.add_argument("--k", type=int, required=True, help="source packets")
+    _add_counting_flags(p_eval, "sampling seed")
+    _add_counting_flags(p_search, "master seed")
+    _add_counting_flags(p_sim, "simulation seed")
+    _add_grid_flags(p_eval)
+    _add_grid_flags(p_base)
+
     p_search.add_argument("--k1", type=int, default=3, help="balanced column weight (odd)")
     p_search.add_argument("--attempts", type=int, default=100, help="independent restarts")
-    p_search.add_argument("--seed", type=int, default=0, help="master seed")
     p_search.add_argument("--ref-p", type=float, default=0.1,
                           help="erasure probability the score targets")
     p_search.add_argument("--algorithm", type=int, choices=(1, 2), default=2,
                           help="1: random init, 2: balanced init")
-    p_search.add_argument("--samples", type=int, default=None,
-                          help="sampled decoding vectors with this many subsets per entry")
     p_search.add_argument("--max-climb-steps", type=int, default=200,
                           help="proposal budget per restart")
     p_search.add_argument("--stagnation-limit", type=int, default=40,
                           help="stop a climb after this many consecutive rejections")
-    p_search.add_argument("--max-subsets", type=int, default=EXACT_ENUMERATION_LIMIT,
-                          help="largest C(n, m) enumerated")
     p_search.add_argument("--out", default="-", help="family file path (default stdout)")
-    p_search.set_defaults(func=_cmd_search)
-
-    p_base = subs.add_parser("baseline", help="analytic random-code reference vector")
-    p_base.add_argument("--n", type=int, required=True, help="code length")
-    p_base.add_argument("--k", type=int, required=True, help="source packets")
     p_base.add_argument("--q", type=int, default=2, help="field size (>= 2)")
-    p_base.add_argument("--out-vd", default="-", help="decoding vector CSV path (default stdout)")
-    p_base.add_argument("--out-sweep", default="-", help="sweep CSV path (default stdout)")
-    _add_grid_flags(p_base)
-    p_base.set_defaults(func=_cmd_baseline)
-
-    p_sim = subs.add_parser("simulate", help="Monte Carlo channel check of a matrix file")
-    p_sim.add_argument("matrix", help="generator matrix file")
     p_sim.add_argument("--p", type=float, required=True, help="erasure probability")
     p_sim.add_argument("--trials", type=int, default=100_000, help="experiment count")
-    p_sim.add_argument("--seed", type=int, default=0, help="simulation seed")
-    p_sim.add_argument("--samples", type=int, default=None,
-                       help="sampled analytic reference with this many subsets per entry")
-    p_sim.add_argument("--max-subsets", type=int, default=EXACT_ENUMERATION_LIMIT,
-                       help="largest C(n, m) enumerated")
+
+    p_eval.set_defaults(func=_cmd_eval)
+    p_search.set_defaults(func=_cmd_search)
+    p_base.set_defaults(func=_cmd_baseline)
     p_sim.set_defaults(func=_cmd_simulate)
     return parser
 
 
+_PARSER = _build_parser()
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         _check_outputs(args)
         return args.func(args)

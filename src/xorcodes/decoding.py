@@ -385,9 +385,10 @@ def _counted_vd(G: BinaryMatrix, max_subsets: int, samples_per_entry=None,
     :func:`_mobius_counts` on the :func:`_rank_space` columns (H's for a
     high-rate code, else G's) when they have at most ``_MOBIUS_RANK`` rows
     and either they are H's or some C(n, m) exceeds ``max_subsets``;
-    otherwise it is enumerated by one :func:`_count_full_rank` pass.  An
-    oversized code with more rows (k and n - k both over ``_MOBIUS_RANK``)
-    is an error raised before anything is ranked.
+    otherwise it is enumerated by one :func:`_count_full_rank` pass.  A
+    high-rate code of rank below k counts 0 everywhere, with nothing
+    ranked.  Any other oversized code with more rows (k and n - k both over
+    ``_MOBIUS_RANK``) is an error raised before anything is ranked.
     C(n, m) over m >= k peaks at m = max(k, n // 2), so that one binomial
     decides "oversized".  With ``samples_per_entry`` an entry is enumerated
     when C(n, m) <= ``max_subsets``, else sampled from that many draws of
@@ -404,7 +405,7 @@ def _counted_vd(G: BinaryMatrix, max_subsets: int, samples_per_entry=None,
     oversized = totals[widest - k] > max_subsets
     packed, rows, dual = space = _rank_space(G)
     if samples_per_entry is None and (oversized or dual):
-        if rows <= _MOBIUS_RANK:
+        if rows <= _MOBIUS_RANK or packed is None:
             counts = [0] * len(sizes)
             if packed is not None:
                 counts = _mobius_counts(packed[:, 0], rows,
@@ -434,9 +435,10 @@ def exact_vd(G: BinaryMatrix, max_subsets: int = EXACT_ENUMERATION_LIMIT) -> Dec
     inversion over the subspaces of F_2^(n-k) on its parity-check matrix,
     whatever ``max_subsets`` is.  Otherwise the subsets are enumerated when
     every C(n, k+i) is at most ``max_subsets``, and a code beyond that is
-    counted by Mobius inversion over F_2^k when k <= 7.  Raises when some
-    C(n, k+i) exceeds ``max_subsets`` and k and n - k both exceed 7; use
-    :func:`sampled_vd` for those codes.
+    counted by Mobius inversion over F_2^k when k <= 7.  A high-rate code
+    of rank below k is all zeros, whatever its size.  Raises when some
+    C(n, k+i) exceeds ``max_subsets`` and k and n - k both exceed 7 for a
+    code of rank k; use :func:`sampled_vd` for those codes.
     """
     return _counted_vd(G, max_subsets)
 
@@ -485,10 +487,13 @@ def p_success(vd: DecodingVector, p: float) -> ChannelPoint:
 
     Failure aggregates two events: i <= n-k packets lost but the surviving
     n-i columns undecodable (weight 1 - rho[n-k-i]), and more than n-k
-    packets lost (always undecodable).
+    packets lost (always undecodable).  A code of rank below k (rho all 0)
+    gets exactly p_s = 0, not the rounding residue of 1 - p_u.
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"erasure probability must be in [0, 1], got {p}")
+    if not vd.rho.any():
+        return ChannelPoint(p=p, p_s=0.0, p_u=1.0)
     n, k = vd.n, vd.k
     terms = _loss_terms(n, p)
     rho = vd.rho.tolist()

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import xorcodes as xc
+from xorcodes import cli
 from xorcodes.cli import _build_parser, main
 from conftest import TESTDATA
 
@@ -232,6 +233,14 @@ class TestBaseline:
                            "--out-sweep", "/dev/null")
         assert code == 0
         assert len(out.splitlines()) == 3
+
+    def test_main_reuses_the_parser_built_at_import(self, capsys, monkeypatch):
+        def refuse():
+            raise AssertionError("main built a parser of its own")
+
+        monkeypatch.setattr(cli, "_build_parser", refuse)
+        code, _, _ = run(capsys, "baseline", "--n", "5", "--k", "3")
+        assert code == 0
 
     def test_rejects_small_field(self, capsys):
         code, _, err = run(capsys, "baseline", "--n", "13", "--k", "5", "--q", "1")

@@ -203,6 +203,18 @@ class TestExactVd:
         # a shared Generator moves on exactly as it does for a full-rank code
         assert gens[0].random() == gens[1].random()
 
+    def test_oversized_rank_deficient_high_rate_is_zero_unranked(self, monkeypatch):
+        # n - k = 8 is beyond Mobius counting and C(64, 56) beyond enumeration, but
+        # below rank k no column set is full rank, so every count is known to be 0
+        G = repeated_last_row(56, 64, 0)
+
+        def refuse(*args):
+            raise AssertionError("rank_batch called on a rank-deficient code")
+
+        monkeypatch.setattr(decoding, "rank_batch", refuse)
+        vd = xc.exact_vd(G)
+        assert vd.counts == (0,) * 9 and vd.mode == "exact"
+
     @pytest.mark.parametrize("shape", [None, (3, 7), (12, 20)], ids=["g135", "7-3", "dual-20-12"])
     def test_ranks_every_subset_once(self, g135, monkeypatch, shape):
         # the benchmark's traced invariant: rank_batch sees exactly sum_m C(n, m) sets;
@@ -601,6 +613,14 @@ class TestPSuccess:
             p_u = min(max(p_u1 + p_u2, 0.0), 1.0)
             assert xc.p_success(vd, p) == xc.ChannelPoint(p, 1.0 - p_u, p_u)
 
+    @pytest.mark.parametrize("k,n,seed", [(40, 44, 16), (56, 64, 0)])
+    def test_rank_deficient_code_never_decodes(self, k, n, seed):
+        # an all-zero vector gives exactly p_s = 0 and p_u = 1, not the rounding
+        # residue of 1 - p_u; n = 64 takes the logarithm branch of _loss_terms
+        vd = xc.exact_vd(repeated_last_row(k, n, seed))
+        for p in (0.02, 0.3):
+            assert xc.p_success(vd, p) == xc.ChannelPoint(p, 0.0, 1.0)
+
     def test_large_n_edges(self):
         vd = xc.rlnc_vd(70, 60, 2)
         assert xc.p_success(vd, 0.0).p_s == pytest.approx(float(vd.rho[-1]))
@@ -734,7 +754,7 @@ class TestSimulatePs:
         G = xc.random_matrix(57, 64, np.random.default_rng(64))
         assert xc.rank(G) == 57
         truth = xc.p_success(xc.exact_vd(G), 0.06).p_s
-        res = xc.simulate_ps(G, 0.06, 20_000, 57)
+        res = xc.simulate_ps(G, 0.06, 10**6, 57)
         assert 0 < truth < 1
         assert abs(res.estimate - truth) / math.sqrt(truth * (1 - truth) / res.trials) <= 5
 

@@ -248,9 +248,13 @@ class TestSearchFamily:
 
     def test_structured_invariants_survive(self):
         cfg = small_cfg(attempts=6)
-        for c in xc.search_family(cfg, algorithm=2):
+        family = xc.search_family(cfg, algorithm=2)
+        assert any(c.provenance["climb_steps"] for c in family)
+        for c in family:
             block = c.G.array[:, : cfg.k]
             assert (block.sum(axis=0) == cfg.k1).all()
+            assert (block.sum(axis=1) == cfg.k1).all()
+            assert xc.is_nonsingular(xc.BinaryMatrix(block))
             assert (c.G.array[:, cfg.k] == 1).all()
 
     def test_single_attempt(self):
