@@ -3,31 +3,28 @@
 The central object is the decoding vector of an [n, k] generator matrix:
 entry i is the probability that a uniformly random set of k+i received
 columns has full rank k, i.e. that the k source packets are recoverable
-from k+i survivors.  An entry is counted exactly (integer subset counts)
-when its binomial is small enough, otherwise by uniform subset sampling,
-the sampled entries drawn in order from one generator.  A full-rank
-high-rate code (0 < n - k < k) is counted on its dual: a column set spans
-F_2^k exactly when the other columns of the parity-check matrix are
-independent, so every rank is taken over n - k rows instead of k.
-An exact vector is counted without enumeration, by Mobius inversion over
-the subspaces of F_2^r, when the code is high-rate with r = n - k <= 7,
-or when its binomials exceed the enumeration limit and r = k <= 7; the
-table of subspaces is built on the first use of each r.  Otherwise one
-counter ranks every entry, enumerated and sampled, as one stream of blocks
-of subset index tables: the enumerated entries first, in blocks of up to
-65,536 subsets that may mix sizes, then each sampled entry in blocks of
-4,096 draws.  The columns are packed once, in the word ``pack_columns``
-chooses (uint8 for up to 8 rows), and a block is filled limb by limb with
-1-d gathers and ranked in one batch call, so a [13,5] vector is one call.
-Subset index tables are unranked in numpy by the combinatorial number
-system.  The intp table of every size that fits one block is built once
-per process and reused, since a search scores thousands of codes of one
-length; a length keeps at most n + 1 such tables, each no larger than one
-block, and larger sizes and sampled draws come as int32 blocks that are
-never kept.  On top of that sit the erasure-channel success
-probability, the analytic random-linear-code baseline, the MDS
-predicate, and a Monte Carlo channel simulator used as an empirical
-cross-check.
+from k+i survivors.  :func:`_route` names how each entry is counted: by
+Mobius inversion over the subspaces of F_2^r (a table of subspaces built
+on the first use of each r), by enumeration of every subset, by uniform
+subset sampling with the sampled entries drawn in order from one
+generator, or as a known 0.  A full-rank high-rate code (0 < n - k < k)
+is counted on its dual: a column set spans F_2^k exactly when the other
+columns of the parity-check matrix are independent, so every rank is
+taken over n - k rows instead of k.  One counter ranks the enumerated
+and sampled entries as one stream of blocks of subset index tables: the
+enumerated entries first, in blocks of up to 65,536 subsets that may mix
+sizes, then each sampled entry in blocks of 4,096 draws.  The columns
+are packed once, in the word ``pack_columns`` chooses (uint8 for up to 8
+rows), and a block is filled limb by limb with 1-d gathers and ranked in
+one batch call, so a [13,5] vector is one call.  Subset index tables are
+unranked in numpy by the combinatorial number system.  The intp table of
+every size that fits one block is built once per process and reused,
+since a search scores thousands of codes of one length; a length keeps at
+most n + 1 such tables, each no larger than one block, and larger sizes
+and sampled draws come as int32 blocks that are never kept.  On top of
+that sit the erasure-channel success probability, the analytic
+random-linear-code baseline, the MDS predicate, and a Monte Carlo channel
+simulator used as an empirical cross-check.
 """
 
 from __future__ import annotations
@@ -64,8 +61,8 @@ __all__ = [
 # Refuse exact enumeration once any single C(n, m) grows past this.
 EXACT_ENUMERATION_LIMIT = 2_000_000
 
-# Largest r whose subspaces of F_2^r the Mobius counter sums over: an exact
-# vector is counted that way when its rank space has at most this many rows.
+# Largest r whose subspaces of F_2^r the Mobius counter sums over: :func:`_route`
+# sends an exact vector to it only when its rank space has at most r rows.
 _MOBIUS_RANK = 7
 
 _CHUNK = 65_536
@@ -95,7 +92,7 @@ class DecodingVector:
         r = np.asarray(rho, dtype=np.float64).copy()
         if r.shape != (n - k + 1,):
             raise ValueError(f"rho must have n - k + 1 = {n - k + 1} entries, got {r.shape}")
-        if (r < 0).any() or (r > 1).any():
+        if not ((r >= 0) & (r <= 1)).all():  # NaN fails both comparisons
             raise ValueError("rho entries must lie in [0, 1]")
         if (counts is None) != (totals is None):
             raise ValueError("counts and totals must be given together")
@@ -108,6 +105,9 @@ class DecodingVector:
         samples = (0,) * len(r) if samples is None else tuple(int(s) for s in samples)
         if len(samples) != len(r) or min(samples) < 0:
             raise ValueError(f"samples must hold {len(r)} non-negative draw counts")
+        if any(samples) and (counts is None or any(
+                s not in (0, t) for s, t in zip(samples, totals))):
+            raise ValueError("a sampled entry needs counts, with totals[i] == samples[i]")
         r.flags.writeable = False
         self.n = n
         self.k = k
@@ -255,14 +255,14 @@ def _rank_space(G: BinaryMatrix) -> tuple[np.ndarray | None, int, bool]:
     return pack_columns(G.array), k, False
 
 
-def _count_full_rank(space, n: int, enumerated, sampled=(), samples=0, gen=None) -> list[int]:
-    """Full-rank m-subsets of the n columns ranked on ``space`` (:func:`_rank_space`): among
-    all C(n, m) for each m in ``enumerated``, then among ``samples`` uniform
-    draws of ``gen`` for each m in ``sampled``, in that order.
+def _count_full_rank(space, n: int, sizes, sampled=(), samples=0, gen=None) -> list[int]:
+    """Full-rank m-subsets of the n columns ranked on ``space`` (:func:`_rank_space`), for
+    each m in ``sizes`` in that order: among ``samples`` uniform draws of ``gen`` when m
+    is in ``sampled``, else among all C(n, m).
 
     All entries are one stream of (j, table) blocks: :func:`_subset_blocks`,
-    then one block per ``_SAMPLE_CHUNK`` draws, each row of iid uniforms
-    taking the m-subset of its m smallest values.  The columns are taken
+    then one block per ``_SAMPLE_CHUNK`` draws of each sampled m in turn,
+    each row of iid uniforms taking the m-subset of its m smallest values.  The columns are taken
     once as limb-major words, a C-ordered ``packed.T``.  A block is ranked
     in one :func:`rank_batch` call on a zeroed (limbs, width, count) array,
     width its largest j; each table gathers every limb into its first j
@@ -274,12 +274,12 @@ def _count_full_rank(space, n: int, enumerated, sampled=(), samples=0, gen=None)
     moves on identically.
     """
     packed, rows, dual = space
-    js = [n - m if dual else m for m in (*enumerated, *sampled)]
+    js = [n - m if dual else m for m in sizes]
     # one expression per chunk, so that its (count, n) draws and argpartition
     # are freed before the yield and only the (j, count) table is kept
     draws = ([(j, np.argpartition(gen.random((min(_SAMPLE_CHUNK, samples - done), n)), m, axis=1)
                [:, slice(m, None) if dual else slice(m)].T.astype(np.int32))]
-             for m, j in zip(sampled, js[len(enumerated):])
+             for m, j in zip(sizes, js) if m in sampled
              for done in range(0, samples, _SAMPLE_CHUNK))
     if packed is None:
         for _ in draws:
@@ -287,7 +287,8 @@ def _count_full_rank(space, n: int, enumerated, sampled=(), samples=0, gen=None)
         return [0] * len(js)
     words = np.ascontiguousarray(packed.T)
     counts = dict.fromkeys(js, 0)
-    for block in itertools.chain(_subset_blocks(n, js[:len(enumerated)]), draws):
+    enumerated = [j for m, j in zip(sizes, js) if m not in sampled]
+    for block in itertools.chain(_subset_blocks(n, enumerated), draws):
         bounds = [0, *itertools.accumulate(table.shape[1] for _, table in block)]
         sets = np.zeros((len(words), max(j for j, _ in block), bounds[-1]), dtype=words.dtype)
         for limb, col in zip(sets, words):
@@ -377,22 +378,42 @@ def _mobius_counts(cols: np.ndarray, r: int, js, dual: bool) -> list[int]:
     return counts
 
 
+def _route(space, n: int, k: int, max_subsets: int, sampling: bool) -> list[str]:
+    """One label per entry m = k..n, naming how it is counted on ``space`` (:func:`_rank_space`).
+
+    "mobius-dual" and "mobius" are :func:`_mobius_counts` on the dual's and
+    G's columns, "enumerated" and "sampled" are :func:`_count_full_rank`,
+    and "zero" marks a high-rate code of rank below k, where no column set
+    is full rank.  ``sampling`` samples each entry with C(n, m) >
+    ``max_subsets`` and enumerates the others.
+    """
+    packed, rows, dual = space
+    totals = [math.comb(n, m) for m in range(k, n + 1)]
+    if sampling:
+        exact = "enumerated" if packed is not None else "zero"
+        return ["sampled" if t > max_subsets else exact for t in totals]
+    if packed is None:
+        return ["zero"] * len(totals)
+    widest = max(k, n // 2)  # C(n, m) over m >= k peaks here
+    oversized = totals[widest - k] > max_subsets
+    if (oversized or dual) and rows <= _MOBIUS_RANK:
+        return ["mobius-dual" if dual else "mobius"] * len(totals)
+    if oversized:
+        raise ValueError(
+            f"C({n},{widest}) = {totals[widest - k]} exceeds the enumeration limit "
+            f"{max_subsets}, and k = {k} and n - k = {n - k} both exceed {_MOBIUS_RANK}, "
+            f"the largest that Mobius counting takes; estimate it by sampling "
+            f"(sampled_vd, or --samples N)"
+        )
+    return ["enumerated"] * len(totals)
+
+
 def _counted_vd(G: BinaryMatrix, max_subsets: int, samples_per_entry=None,
                 gen=None) -> DecodingVector:
-    """Count every entry m = k..n by one method and build the vector.
+    """Count every entry m = k..n by the method :func:`_route` names and build the vector.
 
-    Without ``samples_per_entry`` the vector is exact.  It is counted by
-    :func:`_mobius_counts` on the :func:`_rank_space` columns (H's for a
-    high-rate code, else G's) when they have at most ``_MOBIUS_RANK`` rows
-    and either they are H's or some C(n, m) exceeds ``max_subsets``;
-    otherwise it is enumerated by one :func:`_count_full_rank` pass.  A
-    high-rate code of rank below k counts 0 everywhere, with nothing
-    ranked.  Any other oversized code with more rows (k and n - k both over
-    ``_MOBIUS_RANK``) is an error raised before anything is ranked.
-    C(n, m) over m >= k peaks at m = max(k, n // 2), so that one binomial
-    decides "oversized".  With ``samples_per_entry`` an entry is enumerated
-    when C(n, m) <= ``max_subsets``, else sampled from that many draws of
-    ``gen``, in the order of m.
+    Without ``samples_per_entry`` the vector is exact; with it, each
+    "sampled" entry counts that many draws of ``gen``, in the order of m.
     """
     k, n = G.shape
     if k > n:
@@ -400,31 +421,15 @@ def _counted_vd(G: BinaryMatrix, max_subsets: int, samples_per_entry=None,
     if max_subsets < 1:
         raise ValueError(f"max_subsets must be >= 1, got {max_subsets}")
     sizes = range(k, n + 1)
-    totals = [math.comb(n, m) for m in sizes]
-    widest = max(k, n // 2)
-    oversized = totals[widest - k] > max_subsets
     packed, rows, dual = space = _rank_space(G)
-    if samples_per_entry is None and (oversized or dual):
-        if rows <= _MOBIUS_RANK or packed is None:
-            counts = [0] * len(sizes)
-            if packed is not None:
-                counts = _mobius_counts(packed[:, 0], rows,
-                                        [n - m if dual else m for m in sizes], dual)
-            return DecodingVector(n, k, [c / t for c, t in zip(counts, totals)], counts, totals)
-        if oversized:
-            raise ValueError(
-                f"C({n},{widest}) = {totals[widest - k]} exceeds the enumeration limit "
-                f"{max_subsets}, and k = {k} and n - k = {n - k} both exceed {_MOBIUS_RANK}, "
-                f"the largest that Mobius counting takes; estimate it by sampling "
-                f"(sampled_vd, or --samples N)"
-            )
-    exact = [m for m, t in zip(sizes, totals) if t <= max_subsets]
-    sampled = [m for m, t in zip(sizes, totals) if t > max_subsets]
-    found = dict(zip([*exact, *sampled],
-                     _count_full_rank(space, n, exact, sampled, samples_per_entry, gen)))
-    counts = [found[m] for m in sizes]
-    samples = [0 if t <= max_subsets else samples_per_entry for t in totals]
-    totals = [s or t for s, t in zip(samples, totals)]
+    labels = _route(space, n, k, max_subsets, samples_per_entry is not None)
+    if labels[0].startswith("mobius"):
+        counts = _mobius_counts(packed[:, 0], rows, [n - m if dual else m for m in sizes], dual)
+    else:
+        sampled = [m for m, label in zip(sizes, labels) if label == "sampled"]
+        counts = _count_full_rank(space, n, sizes, sampled, samples_per_entry, gen)
+    samples = [samples_per_entry if label == "sampled" else 0 for label in labels]
+    totals = [s or math.comb(n, m) for s, m in zip(samples, sizes)]
     return DecodingVector(n, k, [c / t for c, t in zip(counts, totals)], counts, totals, samples)
 
 

@@ -22,6 +22,7 @@ COUNTS_13_5 = (792, 1536, 1680, 1284, 715, 286, 78, 13, 1)
 TOTALS_13_5 = (1287, 1716, 1716, 1287, 715, 286, 78, 13, 1)
 ROUNDED_13_5 = (0.615, 0.895, 0.979, 0.998, 1.0, 1.0, 1.0, 1.0, 1.0)
 PS_13_5_AT_01 = 0.9999568878273
+LIMIT = xc.EXACT_ENUMERATION_LIMIT
 
 
 @st.composite
@@ -32,6 +33,20 @@ def high_rate_codes(draw):
     r = draw(st.integers(1, k), label="r")  # rows r..k-1 are zero when r < k
     cols = draw(st.lists(st.integers(0, 2**r - 1), min_size=n, max_size=n), label="cols")
     return xc.BinaryMatrix([[c >> i & 1 for c in cols] for i in range(k)])
+
+
+@st.composite
+def small_codes(draw):
+    """k x n generators with k <= 6, n <= 10: primal, dual and rank-deficient codes, with
+    repeated and zero columns."""
+    k = draw(st.integers(1, 6), label="k")
+    n = draw(st.integers(k, 10), label="n")
+    r = draw(st.just(k) | st.integers(1, k), label="rank")  # rows r..k-1 are zero
+    rest = st.lists(st.integers(0, 2**r - 1), min_size=n - r, max_size=n - r)
+    cols = draw(st.permutations([1 << i for i in range(r)] + draw(rest)), label="cols")
+    G = xc.BinaryMatrix([[c >> i & 1 for c in cols] for i in range(k)])
+    assert xc.rank(G) == r
+    return G
 
 
 @st.composite
@@ -81,20 +96,55 @@ def repeated_last_row(k, n, seed):
     return xc.BinaryMatrix(a)
 
 
+def traced_vd(G, max_subsets, samples=None):
+    """(labels, vd, sets): G's vector, exact or with ``samples`` draws per sampled entry,
+    the labels of its one _route call and the number of column sets rank_batch ranked."""
+    routes, ranked, unwrapped = [], [], decoding._route
+
+    def route(*args):
+        routes.append(unwrapped(*args))
+        return routes[-1]
+
+    def counting(colsets, rows):
+        ranked.append(colsets.shape[0])
+        return rank_batch(colsets, rows)
+
+    with mock.patch.object(decoding, "_route", route), \
+            mock.patch.object(decoding, "rank_batch", counting):
+        vd = (xc.exact_vd(G, max_subsets) if samples is None
+              else xc.sampled_vd(G, samples, 0, max_subsets=max_subsets))
+    [labels] = routes
+    return labels, vd, sum(ranked)
+
+
+def routed_sets(n, k, labels, samples):
+    """The column sets a vector routed as ``labels`` ranks: all C(n, m) of each enumerated
+    entry and ``samples`` draws of each sampled one, or none on a rank-deficient dual."""
+    if "zero" in labels:
+        return 0
+    return sum(math.comb(n, m) if label == "enumerated" else samples if label == "sampled" else 0
+               for m, label in zip(range(k, n + 1), labels))
+
+
 class TestDecodingVector:
     def test_rejects_wrong_length(self):
         with pytest.raises(ValueError, match="entries"):
             xc.DecodingVector(5, 3, [1.0, 1.0])
 
     def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError, match=r"\[0, 1\]"):
-            xc.DecodingVector(5, 4, [0.5, 1.5])
+        for rho in [[0.5, 1.5], [-0.5, 1.0], [math.nan, 1.0]]:
+            with pytest.raises(ValueError, match=r"\[0, 1\]"):
+                xc.DecodingVector(5, 4, rho)
 
     def test_rejects_malformed_samples(self):
-        with pytest.raises(ValueError, match="samples"):
-            xc.DecodingVector(5, 4, [0.5, 1.0], samples=[0])
-        with pytest.raises(ValueError, match="samples"):
-            xc.DecodingVector(5, 4, [0.5, 1.0], samples=[4, -1])
+        for rho, counted, samples in [
+            ([0.5, 1.0], {}, [0]),
+            ([0.5, 1.0], {}, [4, -1]),
+            ([0.5, 1.0], {}, [4, 0]),  # sampled without counts
+            ([0.25, 1.0], {"counts": [1, 5], "totals": [4, 5]}, [3, 0]),  # 3 draws, total 4
+        ]:
+            with pytest.raises(ValueError, match="samples"):
+                xc.DecodingVector(5, 4, rho, samples=samples, **counted)
 
     def test_rejects_counts_that_disagree_with_rho(self):
         with pytest.raises(ValueError, match="counts / totals"):
@@ -215,22 +265,54 @@ class TestExactVd:
         vd = xc.exact_vd(G)
         assert vd.counts == (0,) * 9 and vd.mode == "exact"
 
-    @pytest.mark.parametrize("shape", [None, (3, 7), (12, 20)], ids=["g135", "7-3", "dual-20-12"])
-    def test_ranks_every_subset_once(self, g135, monkeypatch, shape):
-        # the benchmark's traced invariant: rank_batch sees exactly sum_m C(n, m) sets;
-        # [20,12] is enumerated on its dual, since n - k = 8 is beyond Mobius counting
-        G = g135 if shape is None else xc.random_matrix(*shape, np.random.default_rng(3))
+    @pytest.mark.parametrize("code,max_subsets,samples,labels", [
+        ("g135", LIMIT, None, ["enumerated"] * 9),
+        ("g135", 1, None, ["mobius"] * 9),
+        ((3, 7), LIMIT, None, ["enumerated"] * 5),
+        ((5, 20), LIMIT, None, ["enumerated"] * 16),
+        ((5, 24), LIMIT, None, ["mobius"] * 20),  # C(24, 12) is over the limit
+        ((40, 44), LIMIT, None, ["mobius-dual"] * 5),
+        ((12, 20), LIMIT, None, ["enumerated"] * 9),  # on its dual: n - k = 8 is over 7
+        ((10, 30), 1000, None, None),
+        ((20, 40), LIMIT, None, None),
+        ((40, 44, "deficient"), LIMIT, None, ["zero"] * 5),
+        ((56, 64, "deficient"), LIMIT, None, ["zero"] * 9),
+        ("g135", 1000, 50, ["sampled"] * 4 + ["enumerated"] * 5),
+        ((40, 44, "deficient"), 1000, 50, ["sampled"] * 2 + ["zero"] * 3),
+    ], ids=["g135", "g135-mobius", "7-3", "20-5", "24-5", "dual-44-40", "dual-20-12",
+            "refused-30-10", "refused-40-20", "deficient-44-40", "deficient-64-56",
+            "sampled-g135", "sampled-deficient-44-40"])
+    def test_ranks_every_subset_once(self, g135, code, max_subsets, samples, labels):
+        # the routing table, and the benchmark's traced invariant: rank_batch sees every
+        # subset of each enumerated entry and every draw of each sampled one, once
+        if code == "g135":
+            G = g135
+        elif code[-1] == "deficient":
+            G = repeated_last_row(*code[:2], 0)
+        else:
+            G = xc.random_matrix(*code, np.random.default_rng(3))
         k, n = G.shape
-        assert xc.rank(G) == k and bool(_rank_space(G)[2]) == (shape == (12, 20))
-        ranked = []
+        assert xc.rank(G) == k - (code[-1] == "deficient")
+        if labels is None:
+            with pytest.raises(ValueError, match="exceeds the enumeration limit"):
+                decoding._route(_rank_space(G), n, k, max_subsets, samples is not None)
+            return
+        got, vd, ranked = traced_vd(G, max_subsets, samples)
+        assert got == labels
+        assert vd.samples == tuple(samples if label == "sampled" else 0 for label in labels)
+        assert ranked == routed_sets(n, k, labels, samples)
 
-        def counting(colsets, rows):
-            ranked.append(colsets.shape[0])
-            return rank_batch(colsets, rows)
-
-        monkeypatch.setattr(decoding, "rank_batch", counting)
-        xc.exact_vd(G)
-        assert sum(ranked) == sum(math.comb(n, m) for m in range(k, n + 1))
+    @settings(max_examples=80, derandomize=True, deadline=None)
+    @given(small_codes(), st.integers(1, 130), st.none() | st.integers(1, 60))
+    def test_labels_match_the_work_done(self, G, max_subsets, samples):
+        # every route but the refusal, which needs k and n - k both over 7
+        k, n = G.shape
+        labels, vd, ranked = traced_vd(G, max_subsets, samples)
+        assert ranked == routed_sets(n, k, labels, samples)
+        exact = [i for i, label in enumerate(labels) if label != "sampled"]
+        want = brute_force_counts(G, [k + i for i in exact])
+        assert [vd.counts[i] for i in exact] == list(want.values())
+        assert [vd.totals[i] for i in exact] == [math.comb(n, k + i) for i in exact]
 
     def test_g135_ranks_every_entry_in_one_call(self, g135, monkeypatch):
         shapes = []
@@ -246,16 +328,9 @@ class TestExactVd:
     @settings(max_examples=80, derandomize=True, deadline=None)
     @given(st.data())
     def test_enumerated_counts_match_brute_force(self, data):
-        # primal, dual and rank-deficient codes; repeated and zero columns; sizes with gaps;
-        # small chunks split the sizes across blocks and stream them
-        k = data.draw(st.integers(1, 6), label="k")
-        n = data.draw(st.integers(k, 10), label="n")
-        r = data.draw(st.just(k) | st.integers(1, k), label="rank")  # rows r..k-1 are zero
-        rest = st.lists(st.integers(0, 2**r - 1), min_size=n - r, max_size=n - r)
-        cols = data.draw(st.permutations([1 << i for i in range(r)] + data.draw(rest)),
-                         label="cols")
-        G = xc.BinaryMatrix([[c >> i & 1 for c in cols] for i in range(k)])
-        assert xc.rank(G) == r
+        # sizes with gaps; small chunks split the sizes across blocks and stream them
+        G = data.draw(small_codes(), label="G")
+        k, n = G.shape
         sizes = sorted(data.draw(st.sets(st.integers(k, n), min_size=1), label="sizes"),
                        reverse=data.draw(st.booleans(), label="descending"))
         chunk = data.draw(st.sampled_from([1, 3, 10, decoding._CHUNK]), label="chunk")
@@ -355,14 +430,9 @@ class TestMobius:
     @settings(max_examples=60, derandomize=True, deadline=None)
     @given(st.data())
     def test_primal_dual_enumeration_and_rank_agree(self, data):
-        # primal, dual and rank-deficient codes; repeated and zero columns
-        k = data.draw(st.integers(1, 6), label="k")
-        n = data.draw(st.integers(k, 10), label="n")
-        r = data.draw(st.just(k) | st.integers(1, k), label="rank")  # rows r..k-1 are zero
-        rest = st.lists(st.integers(0, 2**r - 1), min_size=n - r, max_size=n - r)
-        cols = data.draw(st.permutations([1 << i for i in range(r)] + data.draw(rest)),
-                         label="cols")
-        G = xc.BinaryMatrix([[c >> i & 1 for c in cols] for i in range(k)])
+        G = data.draw(small_codes(), label="G")
+        k, n = G.shape
+        r = xc.rank(G)
         ranks = {j: [xc.rank(xc.select_columns(G, c)) if j else 0
                      for c in itertools.combinations(range(n), j)] for j in range(n + 1)}
         sizes = range(k, n + 1)
