@@ -76,45 +76,46 @@ class DecodingVector:
     """Per-excess-packet decoding probabilities of one [n, k] code.
 
     ``rho[i]`` is the probability of decoding from k+i received columns,
-    for i in 0..n-k.  Counted entries keep ``rho[i] == counts[i] / totals[i]``:
-    an enumerated entry counts the full-rank (k+i)-subsets among all
-    C(n, k+i) and has ``samples[i] == 0``; a sampled entry counts them among
-    ``samples[i] == totals[i]`` uniform draws.  Only analytic vectors
-    (:func:`rlnc_vd`) have no counts; their samples are all 0.  ``mode``,
-    ``exact_entries`` and ``stderr`` are derived from ``samples`` and ``rho``.
+    for i in 0..n-k.  Only ``counts`` and ``samples`` are stored: entry i
+    counts ``counts[i]`` full-rank (k+i)-subsets among ``totals[i]``, all
+    C(n, k+i) where ``samples[i]`` is 0, else ``samples[i]`` uniform draws,
+    and ``rho[i]`` is their ratio.  Only analytic vectors (:func:`rlnc_vd`)
+    are given ``rho``; they have no counts, no totals and no samples.
     """
 
-    __slots__ = ("n", "k", "rho", "counts", "totals", "samples")
+    __slots__ = ("n", "k", "rho", "counts", "samples")
 
-    def __init__(self, n, k, rho, counts=None, totals=None, samples=None):
+    def __init__(self, n, k, rho=None, counts=None, samples=None):
         if not 1 <= k <= n:
             raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-        r = np.asarray(rho, dtype=np.float64).copy()
+        self.n, self.k = n, k
+        self.samples = (0,) * (n - k + 1) if samples is None else tuple(int(s) for s in samples)
+        if len(self.samples) != n - k + 1 or min(self.samples) < 0 or (
+                counts is None and any(self.samples)):
+            raise ValueError(f"samples must hold {n - k + 1} draw counts >= 0, 0 without counts")
+        self.counts = None if counts is None else tuple(int(c) for c in counts)
+        if counts is not None:
+            if rho is not None:
+                raise ValueError("counts come without rho, which is counts / totals")
+            totals = self.totals
+            if len(self.counts) != n - k + 1 or not all(
+                    0 <= c <= t for c, t in zip(self.counts, totals)):
+                raise ValueError(f"counts must hold {n - k + 1} entries, each in 0..totals[i]")
+            rho = [c / t for c, t in zip(self.counts, totals)]
+        r = np.array(rho, dtype=np.float64)
         if r.shape != (n - k + 1,):
             raise ValueError(f"rho must have n - k + 1 = {n - k + 1} entries, got {r.shape}")
         if not ((r >= 0) & (r <= 1)).all():  # NaN fails both comparisons
             raise ValueError("rho entries must lie in [0, 1]")
-        if (counts is None) != (totals is None):
-            raise ValueError("counts and totals must be given together")
-        if counts is not None:
-            counts = tuple(int(c) for c in counts)
-            totals = tuple(int(t) for t in totals)
-            if not len(counts) == len(totals) == len(r) or not all(
-                    t > 0 and c / t == x for c, t, x in zip(counts, totals, r.tolist())):
-                raise ValueError("counts and totals must give rho = counts / totals per entry")
-        samples = (0,) * len(r) if samples is None else tuple(int(s) for s in samples)
-        if len(samples) != len(r) or min(samples) < 0:
-            raise ValueError(f"samples must hold {len(r)} non-negative draw counts")
-        if any(samples) and (counts is None or any(
-                s not in (0, t) for s, t in zip(samples, totals))):
-            raise ValueError("a sampled entry needs counts, with totals[i] == samples[i]")
         r.flags.writeable = False
-        self.n = n
-        self.k = k
         self.rho = r
-        self.counts = counts
-        self.totals = totals
-        self.samples = samples
+
+    @property
+    def totals(self) -> tuple[int, ...] | None:
+        """Per-entry denominator of ``counts``: ``samples[i]`` draws, or all C(n, k+i)
+        subsets where nothing was sampled; None for an analytic vector."""
+        return None if self.counts is None else tuple(
+            s or math.comb(self.n, self.k + i) for i, s in enumerate(self.samples))
 
     @property
     def mode(self) -> str:
@@ -255,10 +256,10 @@ def _rank_space(G: BinaryMatrix) -> tuple[np.ndarray | None, int, bool]:
     return pack_columns(G.array), k, False
 
 
-def _count_full_rank(space, n: int, sizes, sampled=(), samples=0, gen=None) -> list[int]:
+def _count_full_rank(space, n: int, sizes, samples=None, gen=None) -> list[int]:
     """Full-rank m-subsets of the n columns ranked on ``space`` (:func:`_rank_space`), for
-    each m in ``sizes`` in that order: among ``samples`` uniform draws of ``gen`` when m
-    is in ``sampled``, else among all C(n, m).
+    each m in ``sizes`` in that order: among the matching ``samples`` entry's uniform
+    draws of ``gen`` when it is nonzero, else (and without ``samples``) among all C(n, m).
 
     All entries are one stream of (j, table) blocks: :func:`_subset_blocks`,
     then one block per ``_SAMPLE_CHUNK`` draws of each sampled m in turn,
@@ -275,19 +276,20 @@ def _count_full_rank(space, n: int, sizes, sampled=(), samples=0, gen=None) -> l
     """
     packed, rows, dual = space
     js = [n - m if dual else m for m in sizes]
+    samples = samples or [0] * len(js)
     # one expression per chunk, so that its (count, n) draws and argpartition
     # are freed before the yield and only the (j, count) table is kept
-    draws = ([(j, np.argpartition(gen.random((min(_SAMPLE_CHUNK, samples - done), n)), m, axis=1)
+    draws = ([(j, np.argpartition(gen.random((min(_SAMPLE_CHUNK, s - done), n)), m, axis=1)
                [:, slice(m, None) if dual else slice(m)].T.astype(np.int32))]
-             for m, j in zip(sizes, js) if m in sampled
-             for done in range(0, samples, _SAMPLE_CHUNK))
+             for m, j, s in zip(sizes, js, samples)
+             for done in range(0, s, _SAMPLE_CHUNK))
     if packed is None:
         for _ in draws:
             pass
         return [0] * len(js)
     words = np.ascontiguousarray(packed.T)
     counts = dict.fromkeys(js, 0)
-    enumerated = [j for m, j in zip(sizes, js) if m not in sampled]
+    enumerated = [j for j, s in zip(js, samples) if not s]
     for block in itertools.chain(_subset_blocks(n, enumerated), draws):
         bounds = [0, *itertools.accumulate(table.shape[1] for _, table in block)]
         sets = np.zeros((len(words), max(j for j, _ in block), bounds[-1]), dtype=words.dtype)
@@ -423,14 +425,12 @@ def _counted_vd(G: BinaryMatrix, max_subsets: int, samples_per_entry=None,
     sizes = range(k, n + 1)
     packed, rows, dual = space = _rank_space(G)
     labels = _route(space, n, k, max_subsets, samples_per_entry is not None)
+    samples = [samples_per_entry if label == "sampled" else 0 for label in labels]
     if labels[0].startswith("mobius"):
         counts = _mobius_counts(packed[:, 0], rows, [n - m if dual else m for m in sizes], dual)
     else:
-        sampled = [m for m, label in zip(sizes, labels) if label == "sampled"]
-        counts = _count_full_rank(space, n, sizes, sampled, samples_per_entry, gen)
-    samples = [samples_per_entry if label == "sampled" else 0 for label in labels]
-    totals = [s or math.comb(n, m) for s, m in zip(samples, sizes)]
-    return DecodingVector(n, k, [c / t for c, t in zip(counts, totals)], counts, totals, samples)
+        counts = _count_full_rank(space, n, sizes, samples, gen)
+    return DecodingVector(n, k, counts=counts, samples=samples)
 
 
 def exact_vd(G: BinaryMatrix, max_subsets: int = EXACT_ENUMERATION_LIMIT) -> DecodingVector:

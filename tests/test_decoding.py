@@ -141,20 +141,33 @@ class TestDecodingVector:
             ([0.5, 1.0], {}, [0]),
             ([0.5, 1.0], {}, [4, -1]),
             ([0.5, 1.0], {}, [4, 0]),  # sampled without counts
-            ([0.25, 1.0], {"counts": [1, 5], "totals": [4, 5]}, [3, 0]),  # 3 draws, total 4
+            (None, {"counts": [1, 1]}, [4]),
         ]:
             with pytest.raises(ValueError, match="samples"):
                 xc.DecodingVector(5, 4, rho, samples=samples, **counted)
 
     def test_rejects_counts_that_disagree_with_rho(self):
-        with pytest.raises(ValueError, match="counts / totals"):
-            xc.DecodingVector(5, 4, [0.5, 1.0], counts=[1, 2], totals=[3, 2])
-        with pytest.raises(ValueError, match="together"):
+        # rho is derived from counts, so the two are never given together
+        with pytest.raises(ValueError, match="without rho"):
             xc.DecodingVector(5, 4, [0.5, 1.0], counts=[1, 2])
 
+    def test_rejects_counts_outside_their_totals(self):
+        # C(5, 4) = 5 and C(5, 5) = 1 where nothing is sampled, else the draws
+        for counts, samples in [([1, 2], None), ([6, 1], None), ([-1, 1], None), ([1], None),
+                                ([5, 1], [4, 0]), ([1, 1, 1], None)]:
+            with pytest.raises(ValueError, match="totals"):
+                xc.DecodingVector(5, 4, counts=counts, samples=samples)
+
+    def test_counts_give_rho_and_totals(self):
+        vd = xc.DecodingVector(5, 4, counts=[1, 1])
+        assert vd.rho.tolist() == [0.2, 1.0]
+        assert vd.totals == (5, 1)
+        assert vd.counts == (1, 1) and vd.mode == "exact"
+        assert xc.rlnc_vd(5, 4, 2).totals is None
+
     def test_derived_fields(self):
-        vd = xc.DecodingVector(5, 4, [0.25, 1.0], counts=[1, 5], totals=[4, 5],
-                               samples=[4, 0])
+        vd = xc.DecodingVector(5, 4, counts=[1, 1], samples=[4, 0])
+        assert vd.rho.tolist() == [0.25, 1.0] and vd.totals == (4, 1)
         assert vd.mode == "sampled"
         assert vd.exact_entries.tolist() == [False, True]
         assert vd.stderr.tolist() == [math.sqrt(0.25 * 0.75 / 4), 0.0]

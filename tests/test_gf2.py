@@ -241,15 +241,18 @@ class TestRankBatch:
         assert len(set(got.tolist())) > 1
 
     def test_narrow_word_view_ranks_as_uint64(self):
-        # a (1, width, N) limb-major uint8 block as (N, width, 1), the layout decoding hands in
+        # a (1, width, N) limb-major uint8 block as (N, width, 1), the layout decoding hands
+        # in; at width 64, zero-padded past column 9, N spans two blocks and part of a third
         rng = np.random.default_rng(13)
-        mats = [xc.random_matrix(5, 9, rng) for _ in range(300)]
-        wide = np.stack([pack_columns(m.array) for m in mats])
-        block = np.ascontiguousarray(wide[:, :, 0].T.astype(np.uint8))
-        view = block[None].transpose(2, 1, 0)
-        assert view.shape == wide.shape and not view.flags.c_contiguous
-        assert rank_batch(view, 5).tolist() == rank_batch(wide, 5).tolist() == [
-            xc.rank(m) for m in mats]
+        for width, count in [(9, 300), (64, 2 * (gf2._BLOCK_BYTES // (64 * 8)) + 37)]:
+            mats = [xc.random_matrix(5, 9, rng) for _ in range(count)]
+            wide = np.zeros((count, width, 1), dtype=np.uint64)
+            wide[:, :9] = np.stack([pack_columns(m.array) for m in mats])
+            block = np.ascontiguousarray(wide[:, :, 0].T.astype(np.uint8))
+            view = block[None].transpose(2, 1, 0)
+            assert view.shape == wide.shape and not view.flags.c_contiguous
+            assert rank_batch(view, 5).tolist() == rank_batch(wide, 5).tolist() == [
+                xc.rank(m) for m in mats]
 
     @pytest.mark.parametrize("dtype,limbs", [(np.int64, 1), (np.uint32, 2)])
     def test_rejects_words_that_are_not_unsigned_limbs(self, dtype, limbs):
