@@ -11,20 +11,21 @@ generator, or as a known 0.  A full-rank high-rate code (0 < n - k < k)
 is counted on its dual: a column set spans F_2^k exactly when the other
 columns of the parity-check matrix are independent, so every rank is
 taken over n - k rows instead of k.  One counter ranks the enumerated
-and sampled entries as one stream of blocks of subset index tables: the
-enumerated entries first, in blocks of up to 65,536 subsets that may mix
-sizes, then each sampled entry in blocks of 4,096 draws.  The columns
-are packed once, in the word ``pack_columns`` chooses (uint8 for up to 8
-rows), and a block is filled limb by limb with 1-d gathers and ranked in
-one batch call, so a [13,5] vector is one call.  Subset index tables are
-unranked in numpy by the combinatorial number system.  The intp table of
-every size that fits one block is built once per process and reused,
-since a search scores thousands of codes of one length; a length keeps at
-most n + 1 such tables, each no larger than one block, and larger sizes
-and sampled draws come as int32 blocks that are never kept.  On top of
-that sit the erasure-channel success probability, the analytic
-random-linear-code baseline, the MDS predicate, and a Monte Carlo channel
-simulator used as an empirical cross-check.
+and sampled entries as one stream of blocks of subset index tables, and
+holds one block at a time: the enumerated entries first, in blocks of up
+to 65,536 subsets that may mix sizes, then each sampled entry in blocks
+of 4,096 draws.  The columns are packed once, in the word
+``pack_columns`` chooses (uint8 for up to 8 rows), and a block is filled
+limb by limb with 1-d gathers and ranked in one batch call, so a [13,5]
+vector is one call.  Subset index tables are unranked in numpy by the
+combinatorial number system.  The intp table of every size that fits one
+block is built once per process and reused, since a search scores
+thousands of codes of one length; a length keeps at most n + 1 such
+tables, each no larger than one block, and larger sizes and sampled
+draws come as int32 blocks that are never kept.  On top of that sit the
+erasure-channel success probability, the analytic random-linear-code
+baseline, the MDS predicate, and a Monte Carlo channel simulator used as
+an empirical cross-check.
 """
 
 from __future__ import annotations
@@ -183,19 +184,17 @@ def _unrank(n: int, j: int, start: int, count: int, dtype) -> np.ndarray:
     sum_i C(n - 1 - c_i, j - i) (the combinatorial number system), so row i
     is one ``np.searchsorted`` of the remainders into the binomials
     C(d, j - i) over the n - j + 1 values d = n - 1 - c_i can take; none of
-    them exceeds C(n, j).  The table is filled ``_SAMPLE_CHUNK`` columns at
-    a time, so that the int64 remainders and indices stay small.
+    them exceeds C(n, j).
     """
     binoms = [np.array([math.comb(d, j - i) for d in range(j - i - 1, n - i)], dtype=np.int64)
               for i in range(j)]
     table = np.empty((j, count), dtype=dtype)
     last = math.comb(n, j) - 1 - start
-    for a in range(0, count, _SAMPLE_CHUNK):
-        rest = np.arange(last - a, last - min(a + _SAMPLE_CHUNK, count), -1, dtype=np.int64)
-        for i, col in enumerate(binoms):
-            pos = col.searchsorted(rest, side="right") - 1
-            table[i, a:a + len(rest)] = n - j + i - pos
-            rest -= col[pos]
+    rest = np.arange(last, last - count, -1, dtype=np.int64)
+    for i, col in enumerate(binoms):
+        pos = col.searchsorted(rest, side="right") - 1
+        table[i] = n - j + i - pos
+        rest -= col[pos]
     return table
 
 
@@ -272,7 +271,7 @@ def _count_full_rank(space, n: int, sizes, samples=None, gen=None) -> list[int]:
     (n - m)-subset is independent, so j = n - m and a rank of j counts; on
     the primal j = m and the row count does.  A space without ``packed``
     ranks nothing, but still takes the draws, so that a shared generator
-    moves on identically.
+    moves on identically.  Each block is dropped before the next is built.
     """
     packed, rows, dual = space
     js = [n - m if dual else m for m in sizes]
@@ -297,8 +296,9 @@ def _count_full_rank(space, n: int, sizes, samples=None, gen=None) -> list[int]:
             for (j, table), a, b in zip(block, bounds, bounds[1:]):
                 limb[:j, a:b] = col[table]
         ranks = rank_batch(sets.transpose(2, 1, 0), rows)
-        for (j, _), a, b in zip(block, bounds, bounds[1:]):
+        for (j, table), a, b in zip(block, bounds, bounds[1:]):
             counts[j] += int((ranks[a:b] == (j if dual else rows)).sum())
+        del block, table, sets, limb, ranks
     return [counts[j] for j in js]
 
 
@@ -584,14 +584,14 @@ def simulate_ps(G: BinaryMatrix, p: float, trials: int, rng) -> SimulationResult
 
     Runs ``trials`` independent experiments; success means the surviving
     columns still span all k rows (on the dual: the erased columns of the
-    parity-check matrix are independent).  Trials are drawn in chunks
-    into one reused buffer, whose memory is bounded by a byte budget, not
-    by a trial count, and each distinct erasure pattern in a chunk is
-    ranked once, its success weighted by how often it was drawn.  The
-    patterns are grouped by one sort of packed keys (uint16, uint32 or
-    uint64 for n up to 16, 32 or 64; see ``_distinct_rows``).
-    Deterministic for a fixed seed, whatever the chunking, since the draws
-    fill row by row.
+    parity-check matrix are independent).  Trials are drawn in chunks into
+    one reused buffer, whose memory is bounded by a byte budget, not by a
+    trial count, and each distinct erasure pattern in a chunk is ranked
+    once, its success weighted by how often it was drawn.  One chunk is held
+    at a time: its masks and sets go before the next.  The patterns are
+    grouped by one sort of packed keys (uint16, uint32 or uint64 for n up to
+    16, 32 or 64; see ``_distinct_rows``).  Deterministic for a fixed seed,
+    whatever the chunking, since the draws fill row by row.
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"erasure probability must be in [0, 1], got {p}")
@@ -604,13 +604,15 @@ def simulate_ps(G: BinaryMatrix, p: float, trials: int, rng) -> SimulationResult
     draws = np.empty((min(chunk, trials), n))
     successes = 0
     for done in range(0, trials, chunk):
-        keep = gen.random(out=draws[:trials - done]) >= p
+        gen.random(out=draws[:trials - done])
         if packed is None:
             continue
+        keep = draws[:trials - done] >= p
         ranked, weight = _distinct_rows(~keep if dual else keep)
         full = ranked.sum(axis=1) if dual else rows
         sets = np.where(ranked[:, :, None], packed, 0)
         successes += int(weight[rank_batch(sets, rows) == full].sum())
+        del keep, ranked, weight, full, sets
     est = successes / trials
     se = math.sqrt(est * (1.0 - est) / trials)
     return SimulationResult(p=p, estimate=est, stderr=se, trials=trials, successes=successes)

@@ -35,9 +35,8 @@ __all__ = [
     "format_matrix",
 ]
 
-# Bytes of collections rank_batch eliminates at a time, counting 8 bytes per
-# limb whatever word it is handed, so a uint8 block's working copy is 1/8 of
-# it: big enough to amortise the per-step numpy calls, small enough for cache.
+# Bytes of collections rank_batch eliminates at a time, in the word it is handed:
+# big enough to amortise the per-step numpy calls, small enough for cache.
 _BLOCK_BYTES = 1 << 18
 
 
@@ -222,7 +221,7 @@ def rank_batch(colsets: np.ndarray, k: int) -> np.ndarray:
     of different sizes can share one padded array; an empty collection has
     rank 0.  Raises ValueError when k rows do not fit in the limbs.
 
-    Collections are eliminated one block of ``_BLOCK_BYTES // (8 m limbs)``
+    Collections are eliminated one block of ``_BLOCK_BYTES // (m limbs itemsize)``
     at a time.  Each block is copied to a C-ordered (limbs, m, sets)
     array in the word it was handed.  One collection's columns run down a
     row of contiguous set slots and every reduction is across rows.  Limbs
@@ -246,20 +245,19 @@ def rank_batch(colsets: np.ndarray, k: int) -> np.ndarray:
     ranks = np.zeros(N, dtype=np.int64)
     if not colsets.size:
         return ranks
-    step = max(1, _BLOCK_BYTES // (m * limbs * 8))
+    step = max(1, _BLOCK_BYTES // (m * limbs * colsets.itemsize))
     for start in range(0, N, step):
         # astype always copies, so the in-place XORs never reach the caller
         A = colsets[start:start + step].transpose(2, 1, 0).astype(colsets.dtype, order="C")
         block_ranks = ranks[start:start + step]
-        sets = np.arange(A.shape[2])
         for limb in range(limbs - 1, -1, -1):
             top = A[limb]
             for _ in range(min(m, 64, k - 64 * limb)):
                 p = top.max(axis=0)
                 flip = top ^ p
                 if limb:
-                    pivot = A[:limb, top.argmax(axis=0), sets]
-                    A[:limb] ^= (flip < top) * pivot[:, None, :]
+                    pivot = np.take_along_axis(A[:limb], top.argmax(axis=0)[None, None], axis=1)
+                    A[:limb] ^= (flip < top) * pivot
                 np.minimum(top, flip, out=top)
                 block_ranks += p != 0
     return ranks

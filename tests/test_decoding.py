@@ -2,6 +2,7 @@ import functools
 import itertools
 import math
 import tracemalloc
+import weakref
 from fractions import Fraction
 from unittest import mock
 
@@ -381,7 +382,8 @@ class TestExactVd:
 
     def test_cold_unranked_vector_memory_stays_bounded(self):
         # [44,40] ranks on its 4-row dual: C(44, 4) = 135,751 subsets in three unranked
-        # blocks; unranking a whole 65,536-wide block at once peaks at about 4.3 MiB.
+        # blocks, each unranked in one pass; that stays within the bound only because the
+        # counter drops each block before it unranks the next (4.3 MiB if it kept one).
         # exact_vd counts this code by Mobius inversion, so the vector is enumerated
         # through sampled_vd with every entry within max_subsets: no entry is sampled
         G = structured_44_40()
@@ -396,6 +398,29 @@ class TestExactVd:
             tracemalloc.stop()
         assert _rank_space(G)[2] and vd.totals[0] == math.comb(44, 40)
         assert peak < 4 << 20
+
+    def test_streamed_blocks_are_dropped_before_the_next(self):
+        # the cold [44,40] of the memory test: when each block is requested, no unkept
+        # (int32) table of the blocks before it may still be reachable
+        G = structured_44_40()
+        original, alive, streamed = decoding._subset_blocks, [], []
+
+        def watched(n, sizes):
+            blocks, refs = original(n, sizes), []
+            while True:
+                alive.append([ref() is not None for ref in refs])
+                block = next(blocks, None)
+                if block is None:
+                    return
+                refs = [weakref.ref(t) for _, t in block if t.dtype == np.int32]
+                streamed.extend(t.shape[1] for _, t in block if t.dtype == np.int32)
+                yield block
+                del block
+
+        with mock.patch.object(decoding, "_subset_blocks", watched):
+            vd = xc.sampled_vd(G, 1, 0, max_subsets=math.comb(44, 4))
+        assert vd.mode == "exact" and streamed == [65_536, 65_536, 4_679]
+        assert not any(itertools.chain.from_iterable(alive))
 
     def test_subset_blocks_yield_the_empty_subset(self):
         [[(j, table)]] = _subset_blocks(5, [0])
@@ -840,6 +865,20 @@ class TestSimulatePs:
         res = xc.simulate_ps(G, 0.06, 10**6, 57)
         assert 0 < truth < 1
         assert abs(res.estimate - truth) / math.sqrt(truth * (1 - truth) / res.trials) <= 5
+
+    def test_simulation_memory_stays_bounded(self):
+        # four chunks of 13,107 trials at n = 80: the 8 MiB draw buffer plus one chunk's
+        # (trials, 80) uint64 sets, also 8 MiB, peak at about 19 MiB; keeping the previous
+        # chunk's sets while the next is built would lift the peak to about 26 MiB
+        G = xc.random_matrix(40, 80, np.random.default_rng(1))
+        xc.simulate_ps(G, 0.4, 50_000, 1)  # warm-up: imports
+        tracemalloc.start()
+        try:
+            xc.simulate_ps(G, 0.4, 50_000, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 22 << 20
 
     def test_ranks_patterns_in_the_packed_word(self, g135, monkeypatch):
         want = xc.simulate_ps(g135, 0.3, 5000, 9)

@@ -242,9 +242,10 @@ class TestRankBatch:
 
     def test_narrow_word_view_ranks_as_uint64(self):
         # a (1, width, N) limb-major uint8 block as (N, width, 1), the layout decoding hands
-        # in; at width 64, zero-padded past column 9, N spans two blocks and part of a third
+        # in; at width 64, zero-padded past column 9, N spans two blocks of one byte per
+        # column and part of a third
         rng = np.random.default_rng(13)
-        for width, count in [(9, 300), (64, 2 * (gf2._BLOCK_BYTES // (64 * 8)) + 37)]:
+        for width, count in [(9, 300), (64, 2 * (gf2._BLOCK_BYTES // 64) + 37)]:
             mats = [xc.random_matrix(5, 9, rng) for _ in range(count)]
             wide = np.zeros((count, width, 1), dtype=np.uint64)
             wide[:, :9] = np.stack([pack_columns(m.array) for m in mats])
