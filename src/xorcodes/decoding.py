@@ -25,7 +25,10 @@ tables, each no larger than one block, and larger sizes and sampled
 draws come as int32 blocks that are never kept.  On top of that sit the
 erasure-channel success probability, the analytic random-linear-code
 baseline, the MDS predicate, and a Monte Carlo channel simulator used as
-an empirical cross-check.
+an empirical cross-check.  The simulator groups the trials of 8 MiB of
+draws at a time in one reused bool mask, but draws them through a 1 MiB
+buffer and ranks each group's distinct erasure patterns in blocks of at
+most 1 MiB of column sets, so its memory does not grow with the trials.
 """
 
 from __future__ import annotations
@@ -68,9 +71,11 @@ _MOBIUS_RANK = 7
 
 _CHUNK = 65_536
 _SAMPLE_CHUNK = 4096
-# Bytes of float64 erasure draws per simulate_ps chunk; the (rows, n, limbs)
-# sets it ranks, in packed words of at most 8 bytes, take at most as much.
+# simulate_ps groups the trials of 8 MiB of float64 erasure draws at a time (a
+# chunk of rows), but holds only 1 MiB of them at once, and ranks each chunk's
+# distinct patterns in blocks whose packed column sets also fill at most 1 MiB.
 _SIMULATION_CHUNK_BYTES = 8 << 20
+_SIMULATION_BLOCK_BYTES = 1 << 20
 
 
 class DecodingVector:
@@ -549,22 +554,27 @@ def is_mds(vd: DecodingVector) -> bool:
     return bool((vd.rho == 1.0).all())
 
 
-def _distinct_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct rows of a 2-d bool array, in no set order, and how often each occurs.
+def _mask_width(n: int) -> int:
+    """Width of the zero-padded bool mask :func:`_distinct_rows` takes for rows of n columns:
+    n rounded up to a key word of 16 or 32 bits, or to whole 64-bit limbs."""
+    return 16 if n <= 16 else 32 if n <= 32 else -(-n // 64) * 64
 
-    A row of up to 64 columns is packed into one zero-padded key in the
-    narrowest word of at least 16 bits that holds it (numpy sorts uint8 over
-    ten times slower than uint16; a wider word only adds padding), and one
-    ``np.sort`` puts equal keys side by side.  Wider rows take several uint64
-    limbs, sorted limb by limb with ``argsort``: only the passes after the
-    first must be stable.  A group starts where a key differs from the one
-    before it, and its row is read back from the key.
+
+def _distinct_rows(mask: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct rows of the first n columns of a 2-d bool ``mask``, in no set order, and how
+    often each occurs.
+
+    ``mask`` is ``_mask_width(n)`` columns wide and False past column n, so
+    that it packs, as it is, into one key per row in the narrowest word of
+    at least 16 bits that holds n bits (numpy sorts uint8 over ten times
+    slower than uint16; a wider word only adds padding), and one ``np.sort``
+    puts equal keys side by side.  Wider rows take several uint64 limbs,
+    sorted limb by limb with ``argsort``: only the passes after the first
+    must be stable.  A group starts where a key differs from the one before
+    it, and its row is read back from the key.
     """
-    c, n = a.shape
-    bits = 16 if n <= 16 else 32 if n <= 32 else 64
-    padded = np.zeros((c, -(-n // bits) * bits), dtype=bool)
-    padded[:, :n] = a
-    keys = np.packbits(padded).view(f"u{bits // 8}").reshape(c, -1)
+    c, width = mask.shape
+    keys = np.packbits(mask).view(f"u{min(width, 64) // 8}").reshape(c, -1)
     if keys.shape[1] == 1:
         keys = np.sort(keys, axis=0)
     else:
@@ -584,14 +594,19 @@ def simulate_ps(G: BinaryMatrix, p: float, trials: int, rng) -> SimulationResult
 
     Runs ``trials`` independent experiments; success means the surviving
     columns still span all k rows (on the dual: the erased columns of the
-    parity-check matrix are independent).  Trials are drawn in chunks into
-    one reused buffer, whose memory is bounded by a byte budget, not by a
-    trial count, and each distinct erasure pattern in a chunk is ranked
-    once, its success weighted by how often it was drawn.  One chunk is held
-    at a time: its masks and sets go before the next.  The patterns are
-    grouped by one sort of packed keys (uint16, uint32 or uint64 for n up to
-    16, 32 or 64; see ``_distinct_rows``).  Deterministic for a fixed seed,
-    whatever the chunking, since the draws fill row by row.
+    parity-check matrix are independent).  Trials are grouped in chunks of
+    ``_SIMULATION_CHUNK_BYTES`` of draws, and each distinct erasure pattern
+    in a chunk is ranked once, its success weighted by how often it was
+    drawn.  A chunk is drawn ``_SIMULATION_BLOCK_BYTES`` at a time into one
+    reused float64 buffer, and each sub-block is compared straight into its
+    rows of one reused bool mask, zero-padded to the grouping key (kept
+    columns on the primal, erased ones on the dual), so memory is bounded
+    by a byte budget, not by a trial count.  The patterns are grouped by
+    one sort of packed keys (uint16, uint32 or uint64 for n up to 16, 32 or
+    64; see ``_distinct_rows``) and ranked in blocks whose column sets fill
+    at most ``_SIMULATION_BLOCK_BYTES``; a chunk's patterns go before the
+    next chunk is grouped.  Deterministic for a fixed seed, whatever the
+    chunking, since the draws fill row by row.
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"erasure probability must be in [0, 1], got {p}")
@@ -601,18 +616,27 @@ def simulate_ps(G: BinaryMatrix, p: float, trials: int, rng) -> SimulationResult
     n = G.cols
     packed, rows, dual = _rank_space(G)
     chunk = max(1, _SIMULATION_CHUNK_BYTES // (8 * n))
-    draws = np.empty((min(chunk, trials), n))
+    step = max(1, _SIMULATION_BLOCK_BYTES // (8 * n))
+    draws = np.empty((min(step, trials), n))
+    mask = np.zeros((min(chunk, trials), _mask_width(n)), dtype=bool)
+    compare = np.less if dual else np.greater_equal  # marks erased or kept columns
     successes = 0
     for done in range(0, trials, chunk):
-        gen.random(out=draws[:trials - done])
+        size = min(chunk, trials - done)
+        for a in range(0, size, step):
+            b = min(a + step, size)
+            gen.random(out=draws[:b - a])
+            compare(draws[:b - a], p, out=mask[a:b, :n])
         if packed is None:
             continue
-        keep = draws[:trials - done] >= p
-        ranked, weight = _distinct_rows(~keep if dual else keep)
-        full = ranked.sum(axis=1) if dual else rows
-        sets = np.where(ranked[:, :, None], packed, 0)
-        successes += int(weight[rank_batch(sets, rows) == full].sum())
-        del keep, ranked, weight, full, sets
+        ranked, weight = _distinct_rows(mask[:size], n)
+        block = max(1, _SIMULATION_BLOCK_BYTES // packed.nbytes)
+        for a in range(0, len(ranked), block):
+            part = ranked[a:a + block]
+            full = rank_batch(np.where(part[:, :, None], packed, 0), rows) == (
+                part.sum(axis=1) if dual else rows)
+            successes += int(weight[a:a + block][full].sum())
+        del ranked, weight, part, full
     est = successes / trials
     se = math.sqrt(est * (1.0 - est) / trials)
     return SimulationResult(p=p, estimate=est, stderr=se, trials=trials, successes=successes)

@@ -71,6 +71,8 @@ class SearchConfig:
     def __post_init__(self):
         if not self.n > self.k >= 1:
             raise ValueError(f"need n > k >= 1, got n={self.n}, k={self.k}")
+        if self.master_seed < 0:
+            raise ValueError(f"master_seed must be >= 0, got {self.master_seed}")
         if self.attempts < 1:
             raise ValueError(f"attempts must be >= 1, got {self.attempts}")
         if self.max_climb_steps < 0:

@@ -430,6 +430,25 @@ class TestSimulate:
         assert abs(float(lines["z"])) < 1  # finite, and near 0
 
 
+class TestSeedFlag:
+    @pytest.mark.parametrize("argv", [
+        ["eval", GOLDEN],
+        ["eval", GOLDEN, "--samples", "100", "--max-subsets", "100"],
+        ["search", "--n", "10", "--k", "4", "--attempts", "1"],
+        ["simulate", GOLDEN, "--p", "0.1"],
+    ], ids=["eval-exact", "eval-sampled", "search", "simulate"])
+    def test_negative_seed_refused_while_parsing(self, capsys, monkeypatch, argv):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work ran")
+
+        for name in ("exact_vd", "sampled_vd", "search_family", "simulate_ps"):
+            monkeypatch.setattr(f"xorcodes.cli.{name}", no_work)
+        with pytest.raises(SystemExit) as exit_:
+            main([*argv, "--seed", "-1"])
+        assert exit_.value.code == 2
+        assert "argument --seed: expected an integer >= 0, got '-1'" in capsys.readouterr().err
+
+
 class TestManifest:
     def test_header_is_json_comment(self, capsys):
         import json

@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 import xorcodes as xc
 from xorcodes import decoding
 from xorcodes.decoding import (_comb_table, _count_full_rank, _distinct_rows, _loss_terms,
-                               _mobius_counts, _rank_space, _subset_blocks, _subspaces, _unrank,
-                               format_float)
+                               _mask_width, _mobius_counts, _rank_space, _subset_blocks,
+                               _subspaces, _unrank, format_float)
 from xorcodes.gf2 import rank_batch
 
 # frozen by independent naive enumeration of the shipped [13,5] matrix
@@ -806,6 +806,15 @@ class TestIsMds:
         assert not xc.is_mds(xc.rlnc_vd(6, 5, 2))
 
 
+SIMULATED_CODES = [
+    (xc.random_matrix(5, 13, np.random.default_rng(2)), 0.3),  # primal
+    (high_rate_96(), 0.25),  # dual
+    (repeated_last_row(6, 9, 3), 0.1),  # rank deficient
+    (xc.random_matrix(12, 24, np.random.default_rng(4)), 0.05),  # primal, uint32 keys
+    (xc.random_matrix(64, 70, np.random.default_rng(5)), 0.01),  # dual, two uint64 limbs
+]
+
+
 class TestSimulatePs:
     def test_no_erasures_full_rank(self, g135):
         res = xc.simulate_ps(g135, 0.0, 500, 1)
@@ -837,17 +846,19 @@ class TestSimulatePs:
         assert res.successes == want
         assert 0 < want < 2000
 
-    @pytest.mark.parametrize("G,p", [
-        (xc.random_matrix(5, 13, np.random.default_rng(2)), 0.3),  # primal
-        (high_rate_96(), 0.25),  # dual
-        (repeated_last_row(6, 9, 3), 0.1),  # rank deficient
-        (xc.random_matrix(12, 24, np.random.default_rng(4)), 0.05),  # primal, uint32 keys
-        (xc.random_matrix(64, 70, np.random.default_rng(5)), 0.01),  # dual, two uint64 limbs
+    @pytest.mark.parametrize("G,p,size", [
+        *[pytest.param(G, p, "two-chunks-and-4321", id=f"G{i}-{p}")
+          for i, (G, p) in enumerate(SIMULATED_CODES)],
+        *[pytest.param(G, p, size, id=f"G{i}-{p}-{size}")
+          for i, (G, p) in enumerate(SIMULATED_CODES[:3])
+          for size in ("1-trial", "one-block", "one-block-plus-1", "one-chunk")],
     ])
-    def test_multi_chunk_trials_recount_on_the_generator(self, G, p):
+    def test_multi_chunk_trials_recount_on_the_generator(self, G, p, size):
         k, n = G.shape
-        # two full byte-budget chunks and a partial third
-        trials = 2 * (decoding._SIMULATION_CHUNK_BYTES // (8 * n)) + 4321
+        block = decoding._SIMULATION_BLOCK_BYTES // (8 * n)  # trials of one draw sub-block
+        chunk = decoding._SIMULATION_CHUNK_BYTES // (8 * n)
+        trials = {"two-chunks-and-4321": 2 * chunk + 4321, "1-trial": 1, "one-block": block,
+                  "one-block-plus-1": block + 1, "one-chunk": chunk}[size]
         gen, ref = np.random.default_rng(17), np.random.default_rng(17)
         res = xc.simulate_ps(G, p, trials, gen)
         keep = ref.random((trials, n)) >= p
@@ -856,7 +867,7 @@ class TestSimulatePs:
         want = sum(int(w) for row, w in zip(rows, weight)
                    if row.any() and xc.rank(xc.select_columns(G, np.flatnonzero(row))) == k)
         assert res.successes == want
-        assert (0 < want < trials) == (xc.rank(G) == k)
+        assert (0 < want < trials) == (xc.rank(G) == k) or trials == 1
 
     def test_high_rate_estimate_lies_near_the_exact_p_success(self):
         G = xc.random_matrix(57, 64, np.random.default_rng(64))
@@ -867,9 +878,9 @@ class TestSimulatePs:
         assert abs(res.estimate - truth) / math.sqrt(truth * (1 - truth) / res.trials) <= 5
 
     def test_simulation_memory_stays_bounded(self):
-        # four chunks of 13,107 trials at n = 80: the 8 MiB draw buffer plus one chunk's
-        # (trials, 80) uint64 sets, also 8 MiB, peak at about 19 MiB; keeping the previous
-        # chunk's sets while the next is built would lift the peak to about 26 MiB
+        # four chunks of 13,107 trials at n = 80, each drawn through a 1 MiB buffer into
+        # one reused mask and ranked in blocks of at most 1 MiB of uint64 sets, peak at
+        # about 5.5 MiB; the test below holds that to a tighter bound
         G = xc.random_matrix(40, 80, np.random.default_rng(1))
         xc.simulate_ps(G, 0.4, 50_000, 1)  # warm-up: imports
         tracemalloc.start()
@@ -879,6 +890,24 @@ class TestSimulatePs:
         finally:
             tracemalloc.stop()
         assert peak < 22 << 20
+
+    @pytest.mark.parametrize("G,trials,bound", [
+        # 80,659-trial chunks of 13 columns: a 1 MiB draw block, the 1.3 MB chunk mask of
+        # 16 padded columns and its uint16 keys, about 2.6 MiB in all
+        (xc.random_matrix(5, 13, np.random.default_rng(2)), 10**6, 4 << 20),
+        # 13,107-trial chunks of 80 columns: a 1 MiB draw block, the 1.7 MB mask of 128
+        # padded columns, 1 MB of distinct patterns and a 1 MiB block of sets, about 5.5 MiB
+        (xc.random_matrix(40, 80, np.random.default_rng(1)), 50_000, 8 << 20),
+    ], ids=["13-5", "80-40"])
+    def test_simulation_holds_one_draw_block_and_one_set_block(self, G, trials, bound):
+        xc.simulate_ps(G, 0.4, trials, 1)  # warm-up: imports
+        tracemalloc.start()
+        try:
+            xc.simulate_ps(G, 0.4, trials, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound
 
     def test_ranks_patterns_in_the_packed_word(self, g135, monkeypatch):
         want = xc.simulate_ps(g135, 0.3, 5000, 9)
@@ -917,9 +946,11 @@ class TestDistinctRows:
         picks = data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=40),
                           label="picks")
         a = np.array([pool[i] for i in picks], dtype=bool).reshape(len(picks), n)
-        before = a.copy()
-        reps, weight = _distinct_rows(a)
-        assert np.array_equal(a, before)
+        mask = np.zeros((len(a), _mask_width(n)), dtype=bool)
+        mask[:, :n] = a
+        before = mask.copy()
+        reps, weight = _distinct_rows(mask, n)
+        assert np.array_equal(mask, before)
         keys = [r.tobytes() for r in reps]
         assert reps.dtype == bool and reps.shape[1] == n
         assert len(set(keys)) == len(keys)
