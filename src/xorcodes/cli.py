@@ -227,22 +227,26 @@ def _add_grid_flags(sub) -> None:
     sub.add_argument("--p-step", type=float, default=0.01, help="sweep step (default 0.01)")
 
 
-def _seed(text: str) -> int:
-    # numpy seeds a generator from integers >= 0 only; refuse the rest while parsing
-    try:
-        seed = int(text)
-    except ValueError:
-        seed = -1
-    if seed < 0:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
-    return seed
+def _at_least(low: int):
+    """An argparse type taking integers >= ``low`` only, so that argparse refuses the rest
+    while parsing, naming the flag: numpy seeds a generator from integers >= 0, and
+    draw and subset counts start at 1."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
+        return value
+    return parse
 
 
 def _add_counting_flags(sub, seed_help: str) -> None:
-    sub.add_argument("--seed", type=_seed, default=0, help=seed_help)
-    sub.add_argument("--samples", type=int, default=None,
+    sub.add_argument("--seed", type=_at_least(0), default=0, help=seed_help)
+    sub.add_argument("--samples", type=_at_least(1), default=None,
                      help="sample each oversized entry from this many subsets")
-    sub.add_argument("--max-subsets", type=int, default=EXACT_ENUMERATION_LIMIT,
+    sub.add_argument("--max-subsets", type=_at_least(1), default=EXACT_ENUMERATION_LIMIT,
                      help="largest C(n, m) enumerated")
 
 

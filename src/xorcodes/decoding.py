@@ -14,7 +14,7 @@ taken over n - k rows instead of k.  One counter ranks the enumerated
 and sampled entries as one stream of blocks of subset index tables, and
 holds one block at a time: the enumerated entries first, in blocks of up
 to 65,536 subsets that may mix sizes, then each sampled entry in blocks
-of 4,096 draws.  The columns are packed once, in the word
+of at most 1 MiB of draws.  The columns are packed once, in the word
 ``pack_columns`` chooses (uint8 for up to 8 rows), and a block is filled
 limb by limb with 1-d gathers and ranked in one batch call, so a [13,5]
 vector is one call.  Subset index tables are unranked in numpy by the
@@ -26,9 +26,9 @@ draws come as int32 blocks that are never kept.  On top of that sit the
 erasure-channel success probability, the analytic random-linear-code
 baseline, the MDS predicate, and a Monte Carlo channel simulator used as
 an empirical cross-check.  The simulator groups the trials of 8 MiB of
-draws at a time in one reused bool mask, but draws them through a 1 MiB
-buffer and ranks each group's distinct erasure patterns in blocks of at
-most 1 MiB of column sets, so its memory does not grow with the trials.
+draws at a time as packed keys, but draws them through one 1 MiB buffer
+and ranks each group's distinct erasure patterns in blocks of at most
+1 MiB of column sets, so its memory does not grow with the trials or n.
 """
 
 from __future__ import annotations
@@ -70,12 +70,11 @@ EXACT_ENUMERATION_LIMIT = 2_000_000
 _MOBIUS_RANK = 7
 
 _CHUNK = 65_536
-_SAMPLE_CHUNK = 4096
-# simulate_ps groups the trials of 8 MiB of float64 erasure draws at a time (a
-# chunk of rows), but holds only 1 MiB of them at once, and ranks each chunk's
-# distinct patterns in blocks whose packed column sets also fill at most 1 MiB.
+# Every block of uniform draws (a sampled entry's or a simulation chunk's) fills at most
+# _STREAM_BYTES of float64 rows; simulate_ps groups the trials of 8 MiB of draws (a chunk)
+# as packed keys, and ranks its patterns in blocks of at most _STREAM_BYTES of column sets.
 _SIMULATION_CHUNK_BYTES = 8 << 20
-_SIMULATION_BLOCK_BYTES = 1 << 20
+_STREAM_BYTES = 1 << 20
 
 
 class DecodingVector:
@@ -266,8 +265,9 @@ def _count_full_rank(space, n: int, sizes, samples=None, gen=None) -> list[int]:
     draws of ``gen`` when it is nonzero, else (and without ``samples``) among all C(n, m).
 
     All entries are one stream of (j, table) blocks: :func:`_subset_blocks`,
-    then one block per ``_SAMPLE_CHUNK`` draws of each sampled m in turn,
-    each row of iid uniforms taking the m-subset of its m smallest values.  The columns are taken
+    then each sampled m in turn in blocks of ``_STREAM_BYTES // (8 n)`` draws
+    (at least one, so their float64 rows fill the budget whatever n is), each
+    row of iid uniforms taking the m-subset of its m smallest values.  The columns are taken
     once as limb-major words, a C-ordered ``packed.T``.  A block is ranked
     in one :func:`rank_batch` call on a zeroed (limbs, width, count) array,
     width its largest j; each table gathers every limb into its first j
@@ -281,12 +281,13 @@ def _count_full_rank(space, n: int, sizes, samples=None, gen=None) -> list[int]:
     packed, rows, dual = space
     js = [n - m if dual else m for m in sizes]
     samples = samples or [0] * len(js)
-    # one expression per chunk, so that its (count, n) draws and argpartition
+    step = max(1, _STREAM_BYTES // (8 * n))
+    # one expression per block, so that its (count, n) draws and argpartition
     # are freed before the yield and only the (j, count) table is kept
-    draws = ([(j, np.argpartition(gen.random((min(_SAMPLE_CHUNK, s - done), n)), m, axis=1)
+    draws = ([(j, np.argpartition(gen.random((min(step, s - done), n)), m, axis=1)
                [:, slice(m, None) if dual else slice(m)].T.astype(np.int32))]
              for m, j, s in zip(sizes, js, samples)
-             for done in range(0, s, _SAMPLE_CHUNK))
+             for done in range(0, s, step))
     if packed is None:
         for _ in draws:
             pass
@@ -555,26 +556,24 @@ def is_mds(vd: DecodingVector) -> bool:
 
 
 def _mask_width(n: int) -> int:
-    """Width of the zero-padded bool mask :func:`_distinct_rows` takes for rows of n columns:
-    n rounded up to a key word of 16 or 32 bits, or to whole 64-bit limbs."""
+    """Width of the zero-padded bool mask whose packed rows are :func:`_distinct_rows`'s keys
+    for rows of n columns: n rounded up to a word of 16 or 32 bits, or to whole 64-bit limbs."""
     return 16 if n <= 16 else 32 if n <= 32 else -(-n // 64) * 64
 
 
-def _distinct_rows(mask: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct rows of the first n columns of a 2-d bool ``mask``, in no set order, and how
-    often each occurs.
+def _distinct_rows(keys: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct rows of n columns, in no set order, and how often each occurs, from
+    their grouping ``keys``, one row of key words per row.
 
-    ``mask`` is ``_mask_width(n)`` columns wide and False past column n, so
-    that it packs, as it is, into one key per row in the narrowest word of
-    at least 16 bits that holds n bits (numpy sorts uint8 over ten times
-    slower than uint16; a wider word only adds padding), and one ``np.sort``
-    puts equal keys side by side.  Wider rows take several uint64 limbs,
-    sorted limb by limb with ``argsort``: only the passes after the first
-    must be stable.  A group starts where a key differs from the one before
-    it, and its row is read back from the key.
+    A key is its row zero-padded to ``_mask_width(n)`` columns and packed,
+    in the narrowest word of at least 16 bits that holds n bits (numpy
+    sorts uint8 over ten times slower than uint16; a wider word only adds
+    padding), so one ``np.sort`` puts equal keys side by side.  Wider rows
+    take several uint64 limbs, sorted limb by limb with ``argsort``: only
+    the passes after the first must be stable.  A group starts where a key
+    differs from the one before it, and its row is read back from the key.
     """
-    c, width = mask.shape
-    keys = np.packbits(mask).view(f"u{min(width, 64) // 8}").reshape(c, -1)
+    c = len(keys)
     if keys.shape[1] == 1:
         keys = np.sort(keys, axis=0)
     else:
@@ -597,16 +596,16 @@ def simulate_ps(G: BinaryMatrix, p: float, trials: int, rng) -> SimulationResult
     parity-check matrix are independent).  Trials are grouped in chunks of
     ``_SIMULATION_CHUNK_BYTES`` of draws, and each distinct erasure pattern
     in a chunk is ranked once, its success weighted by how often it was
-    drawn.  A chunk is drawn ``_SIMULATION_BLOCK_BYTES`` at a time into one
-    reused float64 buffer, and each sub-block is compared straight into its
-    rows of one reused bool mask, zero-padded to the grouping key (kept
-    columns on the primal, erased ones on the dual), so memory is bounded
-    by a byte budget, not by a trial count.  The patterns are grouped by
-    one sort of packed keys (uint16, uint32 or uint64 for n up to 16, 32 or
-    64; see ``_distinct_rows``) and ranked in blocks whose column sets fill
-    at most ``_SIMULATION_BLOCK_BYTES``; a chunk's patterns go before the
-    next chunk is grouped.  Deterministic for a fixed seed, whatever the
-    chunking, since the draws fill row by row.
+    drawn.  A chunk is drawn ``_STREAM_BYTES`` at a time into one reused
+    float64 buffer, each block is compared straight into one reused bool
+    mask of its rows, zero-padded to the grouping key (kept columns on the
+    primal, erased ones on the dual), and packed into its rows of the
+    chunk's keys (uint16, uint32 or uint64 words for n up to 16, 32 or 64),
+    so memory is bounded by a byte budget, not by a trial count.  The keys
+    are grouped by one sort (see ``_distinct_rows``) and the patterns
+    ranked in blocks whose column sets fill at most ``_STREAM_BYTES``; a
+    chunk's patterns go before the next chunk is grouped.  Deterministic
+    for a fixed seed, whatever the chunking, since the draws fill row by row.
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"erasure probability must be in [0, 1], got {p}")
@@ -616,9 +615,11 @@ def simulate_ps(G: BinaryMatrix, p: float, trials: int, rng) -> SimulationResult
     n = G.cols
     packed, rows, dual = _rank_space(G)
     chunk = max(1, _SIMULATION_CHUNK_BYTES // (8 * n))
-    step = max(1, _SIMULATION_BLOCK_BYTES // (8 * n))
+    step = max(1, _STREAM_BYTES // (8 * n))
     draws = np.empty((min(step, trials), n))
-    mask = np.zeros((min(chunk, trials), _mask_width(n)), dtype=bool)
+    mask = np.zeros((len(draws), _mask_width(n)), dtype=bool)
+    word = min(mask.shape[1], 64)
+    keys = np.empty((min(chunk, trials), mask.shape[1] // word), dtype=f"u{word // 8}")
     compare = np.less if dual else np.greater_equal  # marks erased or kept columns
     successes = 0
     for done in range(0, trials, chunk):
@@ -626,11 +627,12 @@ def simulate_ps(G: BinaryMatrix, p: float, trials: int, rng) -> SimulationResult
         for a in range(0, size, step):
             b = min(a + step, size)
             gen.random(out=draws[:b - a])
-            compare(draws[:b - a], p, out=mask[a:b, :n])
+            compare(draws[:b - a], p, out=mask[:b - a, :n])
+            keys[a:b] = np.packbits(mask[:b - a]).view(keys.dtype).reshape(b - a, -1)
         if packed is None:
             continue
-        ranked, weight = _distinct_rows(mask[:size], n)
-        block = max(1, _SIMULATION_BLOCK_BYTES // packed.nbytes)
+        ranked, weight = _distinct_rows(keys[:size], n)
+        block = max(1, _STREAM_BYTES // packed.nbytes)
         for a in range(0, len(ranked), block):
             part = ranked[a:a + block]
             full = rank_batch(np.where(part[:, :, None], packed, 0), rows) == (

@@ -83,6 +83,8 @@ class SearchConfig:
             raise ValueError(f"reference_p must be in [0, 1], got {self.reference_p}")
         if self.samples is not None and self.samples < 1:
             raise ValueError(f"samples must be >= 1 or None for exact, got {self.samples}")
+        if self.max_subsets < 1:
+            raise ValueError(f"max_subsets must be >= 1, got {self.max_subsets}")
 
 
 def _evaluate(G: BinaryMatrix, cfg: SearchConfig, rng) -> tuple[DecodingVector, float]:

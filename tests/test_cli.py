@@ -87,9 +87,10 @@ class TestEval:
         assert err == f"error: {exc.value}\n"
 
     def test_rejects_zero_max_subsets(self, capsys):
-        code, _, err = run(capsys, "eval", GOLDEN, "--samples", "10", "--max-subsets", "0")
-        assert code == 2
-        assert "max_subsets" in err
+        with pytest.raises(SystemExit) as exit_:
+            main(["eval", GOLDEN, "--samples", "10", "--max-subsets", "0"])
+        assert exit_.value.code == 2
+        assert "argument --max-subsets: expected an integer >= 1" in capsys.readouterr().err
 
     def test_custom_grid(self, capsys, tmp_path):
         sweep = tmp_path / "s.csv"
@@ -291,10 +292,10 @@ class TestSearch:
         capsys.readouterr()
 
     def test_rejects_zero_samples(self, capsys):
-        code, _, err = run(capsys, "search", "--n", "10", "--k", "4", "--attempts", "1",
-                           "--samples", "0")
-        assert code == 2
-        assert "samples" in err
+        with pytest.raises(SystemExit) as exit_:
+            main(["search", "--n", "10", "--k", "4", "--attempts", "1", "--samples", "0"])
+        assert exit_.value.code == 2
+        assert "argument --samples: expected an integer >= 1" in capsys.readouterr().err
 
     def test_rejects_even_weight(self, capsys):
         code, _, err = run(capsys, "search", "--n", "10", "--k", "4", "--k1", "2",
@@ -430,6 +431,15 @@ class TestSimulate:
         assert abs(float(lines["z"])) < 1  # finite, and near 0
 
 
+@pytest.fixture
+def no_work(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("work ran")
+
+    for name in ("exact_vd", "sampled_vd", "search_family", "simulate_ps"):
+        monkeypatch.setattr(f"xorcodes.cli.{name}", refuse)
+
+
 class TestSeedFlag:
     @pytest.mark.parametrize("argv", [
         ["eval", GOLDEN],
@@ -437,16 +447,28 @@ class TestSeedFlag:
         ["search", "--n", "10", "--k", "4", "--attempts", "1"],
         ["simulate", GOLDEN, "--p", "0.1"],
     ], ids=["eval-exact", "eval-sampled", "search", "simulate"])
-    def test_negative_seed_refused_while_parsing(self, capsys, monkeypatch, argv):
-        def no_work(*args, **kwargs):
-            raise AssertionError("work ran")
-
-        for name in ("exact_vd", "sampled_vd", "search_family", "simulate_ps"):
-            monkeypatch.setattr(f"xorcodes.cli.{name}", no_work)
+    def test_negative_seed_refused_while_parsing(self, capsys, no_work, argv):
         with pytest.raises(SystemExit) as exit_:
             main([*argv, "--seed", "-1"])
         assert exit_.value.code == 2
         assert "argument --seed: expected an integer >= 0, got '-1'" in capsys.readouterr().err
+
+
+class TestCountFlags:
+    @pytest.mark.parametrize("argv", [
+        ["eval", GOLDEN],
+        ["search", "--n", "10", "--k", "4", "--attempts", "1"],
+        ["simulate", GOLDEN, "--p", "0.1"],
+    ], ids=["eval", "search", "simulate"])
+    @pytest.mark.parametrize("flag,value", [
+        ("--samples", "0"), ("--samples", "2.5"), ("--max-subsets", "0"), ("--max-subsets", "-1"),
+    ])
+    def test_bad_count_refused_while_parsing(self, capsys, no_work, argv, flag, value):
+        with pytest.raises(SystemExit) as exit_:
+            main([*argv, flag, value])
+        assert exit_.value.code == 2
+        want = f"argument {flag}: expected an integer >= 1, got {value!r}"
+        assert want in capsys.readouterr().err
 
 
 class TestManifest:

@@ -612,34 +612,43 @@ class TestSampledVd:
 
     def test_draws_recount_on_the_generator(self, g135):
         # regenerate each sampled entry's draws and rank them on G itself, for a dual and a
-        # primal code, in one draw chunk and across chunks of 128, 128 and 44 draws
+        # primal code: 300 draws in one block of the default budget, then with a budget of
+        # 128 rows per block, 300 draws (128, 128 and 44), one block, and one block + 1
         for G, max_subsets in [(high_rate_96(), 1), (g135, 100)]:
             k, n = G.shape
             sampled = [m for m in range(k, n + 1) if math.comb(n, m) > max_subsets]
-            for chunk in [decoding._SAMPLE_CHUNK, 128]:
-                with mock.patch.object(decoding, "_SAMPLE_CHUNK", chunk):
-                    vd = xc.sampled_vd(G, 300, 17, max_subsets=max_subsets)
-                gen = np.random.default_rng(17)
+            for budget, draws in [(decoding._STREAM_BYTES, 300), (128 * 8 * n, 300),
+                                  (128 * 8 * n, 128), (128 * 8 * n, 129)]:
+                gen, ref = np.random.default_rng(17), np.random.default_rng(17)
+                with mock.patch.object(decoding, "_STREAM_BYTES", budget):
+                    vd = xc.sampled_vd(G, draws, gen, max_subsets=max_subsets)
                 for i, m in enumerate(sampled):
-                    sets = np.argsort(gen.random((300, n)), axis=1)[:, :m]
+                    sets = np.argsort(ref.random((draws, n)), axis=1)[:, :m]
                     hits = sum(xc.rank(xc.select_columns(G, sorted(s))) == k
                                for s in sets.tolist())
-                    assert (vd.samples[i], vd.counts[i]) == (300, hits)
+                    assert (vd.samples[i], vd.counts[i]) == (draws, hits)
+                assert gen.random() == ref.random()  # a shared Generator moves on by the draws
                 assert vd.samples[len(sampled):] == (0,) * (n - k + 1 - len(sampled))
                 assert vd.counts[-1] == 1
 
     def test_sampling_memory_stays_bounded(self):
-        # a chunk's (4096, 108) draws and their argpartition take 3.4 MiB each; keeping
-        # either past its chunk would lift the peak to about 10 MiB
-        G = xc.random_matrix(100, 108, 3)
-        xc.sampled_vd(G, 20_000, 1, max_subsets=100)  # warm-up: imports and memoised tables
-        tracemalloc.start()
-        try:
-            xc.sampled_vd(G, 20_000, 1, max_subsets=100)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 8 << 20
+        # a block's (1213, 108) draws and their argpartition take 1 MiB each, and the
+        # [300,296] code's three entries sampled on its 4-row dual take (436, 300) blocks;
+        # keeping a block past its turn, or a block size that grows with n, would lift the
+        # peak past the bound
+        for G, samples, max_subsets, bound in [
+                (xc.random_matrix(100, 108, 3), 20_000, 100, 8 << 20),
+                (xc.random_matrix(296, 300, np.random.default_rng(0)), 5000, 1000, 4 << 20)]:
+            assert xc.rank(G) == G.rows
+            # warm-up: imports and memoised tables
+            xc.sampled_vd(G, samples, 1, max_subsets=max_subsets)
+            tracemalloc.start()
+            try:
+                xc.sampled_vd(G, samples, 1, max_subsets=max_subsets)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < bound
 
     def test_all_exact_when_threshold_high(self, g135, vd135):
         vd = xc.sampled_vd(g135, 10, 0)
@@ -855,7 +864,7 @@ class TestSimulatePs:
     ])
     def test_multi_chunk_trials_recount_on_the_generator(self, G, p, size):
         k, n = G.shape
-        block = decoding._SIMULATION_BLOCK_BYTES // (8 * n)  # trials of one draw sub-block
+        block = decoding._STREAM_BYTES // (8 * n)  # trials of one draw block
         chunk = decoding._SIMULATION_CHUNK_BYTES // (8 * n)
         trials = {"two-chunks-and-4321": 2 * chunk + 4321, "1-trial": 1, "one-block": block,
                   "one-block-plus-1": block + 1, "one-chunk": chunk}[size]
@@ -878,9 +887,9 @@ class TestSimulatePs:
         assert abs(res.estimate - truth) / math.sqrt(truth * (1 - truth) / res.trials) <= 5
 
     def test_simulation_memory_stays_bounded(self):
-        # four chunks of 13,107 trials at n = 80, each drawn through a 1 MiB buffer into
-        # one reused mask and ranked in blocks of at most 1 MiB of uint64 sets, peak at
-        # about 5.5 MiB; the test below holds that to a tighter bound
+        # four chunks of 13,107 trials at n = 80, each drawn through a 1 MiB buffer and
+        # packed into one reused array of keys, and ranked in blocks of at most 1 MiB of
+        # uint64 sets, peak at about 4.3 MiB; the test below holds that to a tighter bound
         G = xc.random_matrix(40, 80, np.random.default_rng(1))
         xc.simulate_ps(G, 0.4, 50_000, 1)  # warm-up: imports
         tracemalloc.start()
@@ -892,13 +901,16 @@ class TestSimulatePs:
         assert peak < 22 << 20
 
     @pytest.mark.parametrize("G,trials,bound", [
-        # 80,659-trial chunks of 13 columns: a 1 MiB draw block, the 1.3 MB chunk mask of
-        # 16 padded columns and its uint16 keys, about 2.6 MiB in all
+        # 80,659-trial chunks of 13 columns: a 1 MiB draw block, the 161 kB mask of its
+        # rows and the chunk's 161 kB of uint16 keys, about 1.9 MiB in all
         (xc.random_matrix(5, 13, np.random.default_rng(2)), 10**6, 4 << 20),
-        # 13,107-trial chunks of 80 columns: a 1 MiB draw block, the 1.7 MB mask of 128
-        # padded columns, 1 MB of distinct patterns and a 1 MiB block of sets, about 5.5 MiB
+        # 13,107-trial chunks of 80 columns: a 1 MiB draw block, the chunk's 210 kB of
+        # two-limb keys, 1 MB of distinct patterns and a 1 MiB block of sets, about 4.3 MiB
         (xc.random_matrix(40, 80, np.random.default_rng(1)), 50_000, 8 << 20),
-    ], ids=["13-5", "80-40"])
+        # 524,288-trial chunks of 2 columns: a 1 MiB draw block, its 1 MiB mask of 16
+        # padded columns and 1 MiB of uint16 chunk keys and their sorted copy, about 5.5 MiB
+        (xc.BinaryMatrix(np.array([[1, 1]], dtype=np.uint8)), 10**6, 8 << 20),
+    ], ids=["13-5", "80-40", "2-1"])
     def test_simulation_holds_one_draw_block_and_one_set_block(self, G, trials, bound):
         xc.simulate_ps(G, 0.4, trials, 1)  # warm-up: imports
         tracemalloc.start()
@@ -948,9 +960,11 @@ class TestDistinctRows:
         a = np.array([pool[i] for i in picks], dtype=bool).reshape(len(picks), n)
         mask = np.zeros((len(a), _mask_width(n)), dtype=bool)
         mask[:, :n] = a
-        before = mask.copy()
-        reps, weight = _distinct_rows(mask, n)
-        assert np.array_equal(mask, before)
+        word = min(mask.shape[1], 64)
+        keys = np.packbits(mask).view(f"u{word // 8}").reshape(len(a), -1)
+        before = keys.copy()
+        reps, weight = _distinct_rows(keys, n)
+        assert np.array_equal(keys, before)
         keys = [r.tobytes() for r in reps]
         assert reps.dtype == bool and reps.shape[1] == n
         assert len(set(keys)) == len(keys)

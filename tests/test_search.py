@@ -30,6 +30,7 @@ class TestSearchConfig:
         (dict(n=10, k=4, reference_p=1.5), "reference_p"),
         (dict(n=10, k=4, samples=0), "samples"),
         (dict(n=10, k=4, master_seed=-1), "master_seed"),
+        (dict(n=10, k=4, max_subsets=0), "max_subsets"),
     ])
     def test_validation_names_constraint(self, kw, msg, monkeypatch):
         # k1 is refused by algorithm 2's first restart, the rest by the config itself;
