@@ -14,10 +14,15 @@ taken over n - k rows instead of k.  One counter ranks the enumerated
 and sampled entries as one stream of blocks of subset index tables, and
 holds one block at a time: the enumerated entries first, in blocks of up
 to 65,536 subsets that may mix sizes, then each sampled entry in blocks
-of at most 1 MiB of draws.  The columns are packed once, in the word
-``pack_columns`` chooses (uint8 for up to 8 rows), and a block is filled
-limb by limb with 1-d gathers and ranked in one batch call, so a [13,5]
-vector is one call.  Subset index tables are unranked in numpy by the
+drawn into one reused 1 MiB buffer of draws.  Each row of draws gives its
+subset by a split at its m smallest values: a narrow side of the split
+(w columns, 12 w <= min(n, 192)) is taken by w argmax or argmin passes,
+a wider one by argpartition, with the same sets unless two draws tie
+exactly at the cut.  A low-rate code whose subsets overflow one block
+goes to Mobius counting instead when k <= 7.  The columns are packed
+once, in the word ``pack_columns`` chooses (uint8 for up to 8 rows), and
+a block is filled limb by limb with 1-d gathers and ranked in one batch
+call, so a [13,5] vector is one call.  Subset index tables are unranked in numpy by the
 combinatorial number system.  The intp table of every size that fits one
 block is built once per process and reused, since a search scores
 thousands of codes of one length; a length keeps at most n + 1 such
@@ -259,6 +264,35 @@ def _rank_space(G: BinaryMatrix) -> tuple[np.ndarray | None, int, bool]:
     return pack_columns(G.array), k, False
 
 
+def _select(draws: np.ndarray, m: int, dual: bool) -> np.ndarray:
+    """Each row's wanted side of a split at its m smallest ``draws``, as a (w, rows) int32
+    index table: the n - m largest on the dual (w = n - m), the m smallest on the primal
+    (w = m).
+
+    A narrow side, 12 w <= min(n, 192), is taken by w row-wise passes of
+    ``np.argmax`` (dual) or ``np.argmin`` (primal), each writing one row of
+    the table and retiring its picks by overwriting them with -1.0 or 2.0,
+    outside the draws' [0, 1); so ``draws`` is spent.  A wider side is one
+    ``np.argpartition``.  w passes cost about as much as one argpartition
+    at w = n / 12 to n / 7 for n up to 200, and at w = 18 to 20 beyond, so
+    the test keeps passes where they win.  Both routes take the same sets,
+    unless two draws of a row tie exactly at the cut (probability at most
+    C(n, 2) 2^-53 per row).
+    """
+    rows, n = draws.shape
+    w = n - m if dual else m
+    if 12 * w > min(n, 192):
+        side = slice(m, None) if dual else slice(m)
+        return np.argpartition(draws, m, axis=1)[:, side].T.astype(np.int32)
+    table = np.empty((w, rows), dtype=np.int32)
+    pick, retire = (np.argmax, -1.0) if dual else (np.argmin, 2.0)
+    at = np.arange(rows)
+    for row in table:
+        pick(draws, axis=1, out=row)
+        draws[at, row] = retire
+    return table
+
+
 def _count_full_rank(space, n: int, sizes, samples=None, gen=None) -> list[int]:
     """Full-rank m-subsets of the n columns ranked on ``space`` (:func:`_rank_space`), for
     each m in ``sizes`` in that order: among the matching ``samples`` entry's uniform
@@ -267,7 +301,10 @@ def _count_full_rank(space, n: int, sizes, samples=None, gen=None) -> list[int]:
     All entries are one stream of (j, table) blocks: :func:`_subset_blocks`,
     then each sampled m in turn in blocks of ``_STREAM_BYTES // (8 n)`` draws
     (at least one, so their float64 rows fill the budget whatever n is), each
-    row of iid uniforms taking the m-subset of its m smallest values.  The columns are taken
+    row of iid uniforms taking the m-subset of its m smallest values.  Every
+    block is drawn into one float64 buffer, allocated once per vector, and
+    :func:`_select` takes each row's side (by argmax or argmin passes when it
+    is narrow, else by argpartition) as an int32 table.  The columns are taken
     once as limb-major words, a C-ordered ``packed.T``.  A block is ranked
     in one :func:`rank_batch` call on a zeroed (limbs, width, count) array,
     width its largest j; each table gathers every limb into its first j
@@ -275,23 +312,22 @@ def _count_full_rank(space, n: int, sizes, samples=None, gen=None) -> list[int]:
     :func:`_rank_space` an m-subset is full rank when its complementary
     (n - m)-subset is independent, so j = n - m and a rank of j counts; on
     the primal j = m and the row count does.  A space without ``packed``
-    ranks nothing, but still takes the draws, so that a shared generator
-    moves on identically.  Each block is dropped before the next is built.
+    ranks and selects nothing, but still fills the buffer with every block
+    of draws, so that a shared generator moves on identically.  Each block
+    is dropped before the next is built.
     """
     packed, rows, dual = space
     js = [n - m if dual else m for m in sizes]
     samples = samples or [0] * len(js)
     step = max(1, _STREAM_BYTES // (8 * n))
-    # one expression per block, so that its (count, n) draws and argpartition
-    # are freed before the yield and only the (j, count) table is kept
-    draws = ([(j, np.argpartition(gen.random((min(step, s - done), n)), m, axis=1)
-               [:, slice(m, None) if dual else slice(m)].T.astype(np.int32))]
-             for m, j, s in zip(sizes, js, samples)
-             for done in range(0, s, step))
+    buf = np.empty((min(step, max(samples)), n))
+    fills = ((m, j, buf[:min(step, s - done)])
+             for m, j, s in zip(sizes, js, samples) for done in range(0, s, step))
     if packed is None:
-        for _ in draws:
-            pass
+        for _, _, fill in fills:
+            gen.random(out=fill)
         return [0] * len(js)
+    draws = ([(j, _select(gen.random(out=fill), m, dual))] for m, j, fill in fills)
     words = np.ascontiguousarray(packed.T)
     counts = dict.fromkeys(js, 0)
     enumerated = [j for j, s in zip(js, samples) if not s]
@@ -393,7 +429,11 @@ def _route(space, n: int, k: int, max_subsets: int, sampling: bool) -> list[str]
     G's columns, "enumerated" and "sampled" are :func:`_count_full_rank`,
     and "zero" marks a high-rate code of rank below k, where no column set
     is full rank.  ``sampling`` samples each entry with C(n, m) >
-    ``max_subsets`` and enumerates the others.
+    ``max_subsets`` and enumerates the others.  An exact vector goes to
+    Mobius counting when its rank space has at most ``_MOBIUS_RANK`` rows and
+    it is high-rate, oversized, or a primal space whose sum of C(n, m) over
+    m = k..n exceeds one ``_CHUNK`` block (so it would take several
+    :func:`rank_batch` calls and unrank its larger sizes afresh each time).
     """
     packed, rows, dual = space
     totals = [math.comb(n, m) for m in range(k, n + 1)]
@@ -404,7 +444,7 @@ def _route(space, n: int, k: int, max_subsets: int, sampling: bool) -> list[str]
         return ["zero"] * len(totals)
     widest = max(k, n // 2)  # C(n, m) over m >= k peaks here
     oversized = totals[widest - k] > max_subsets
-    if (oversized or dual) and rows <= _MOBIUS_RANK:
+    if (oversized or dual or sum(totals) > _CHUNK) and rows <= _MOBIUS_RANK:
         return ["mobius-dual" if dual else "mobius"] * len(totals)
     if oversized:
         raise ValueError(
@@ -444,10 +484,11 @@ def exact_vd(G: BinaryMatrix, max_subsets: int = EXACT_ENUMERATION_LIMIT) -> Dec
 
     A high-rate code (0 < n - k < k) with n - k <= 7 is counted by Mobius
     inversion over the subspaces of F_2^(n-k) on its parity-check matrix,
-    whatever ``max_subsets`` is.  Otherwise the subsets are enumerated when
-    every C(n, k+i) is at most ``max_subsets``, and a code beyond that is
-    counted by Mobius inversion over F_2^k when k <= 7.  A high-rate code
-    of rank below k is all zeros, whatever its size.  Raises when some
+    whatever ``max_subsets`` is.  Any other code with k <= 7 is counted by
+    Mobius inversion over F_2^k when some C(n, k+i) exceeds ``max_subsets``
+    or all of them sum to more than 65,536 subsets.  Otherwise the subsets
+    are enumerated.  A high-rate code of rank below k is all zeros,
+    whatever its size.  Raises when some
     C(n, k+i) exceeds ``max_subsets`` and k and n - k both exceed 7 for a
     code of rank k; use :func:`sampled_vd` for those codes.
     """

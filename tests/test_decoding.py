@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 import xorcodes as xc
 from xorcodes import decoding
 from xorcodes.decoding import (_comb_table, _count_full_rank, _distinct_rows, _loss_terms,
-                               _mask_width, _mobius_counts, _rank_space, _subset_blocks,
-                               _subspaces, _unrank, format_float)
+                               _mask_width, _mobius_counts, _rank_space, _select,
+                               _subset_blocks, _subspaces, _unrank, format_float)
 from xorcodes.gf2 import rank_batch
 
 # frozen by independent naive enumeration of the shipped [13,5] matrix
@@ -61,6 +61,17 @@ def subset_slices(draw):
     start = draw(st.integers(0, min(total, 3000) - 1), label="start")
     count = draw(st.integers(1, min(total - start, 3000)), label="count")
     return n, j, a, start, count, draw(st.sampled_from([np.int32, np.intp]), label="dtype")
+
+
+@st.composite
+def selections(draw):
+    """(n, m, dual, rows, seed): a split of ``rows`` rows of n draws at their m smallest, with
+    the wanted side (n - m columns on the dual, m on the primal) often narrow enough for passes."""
+    n = draw(st.integers(2, 60), label="n")
+    w = draw(st.integers(1, max(1, n // 12)) | st.integers(1, n - 1), label="w")
+    dual = draw(st.booleans(), label="dual")
+    rows = draw(st.integers(1, 50), label="rows")
+    return n, n - w if dual else w, dual, rows, draw(st.integers(0, 2**32 - 1), label="seed")
 
 
 def brute_force_counts(G, sizes):
@@ -116,6 +127,17 @@ def traced_vd(G, max_subsets, samples=None):
               else xc.sampled_vd(G, samples, 0, max_subsets=max_subsets))
     [labels] = routes
     return labels, vd, sum(ranked)
+
+
+def sampling_peak(G, samples, max_subsets):
+    """The tracemalloc peak of one warm sampled_vd of G, in bytes."""
+    xc.sampled_vd(G, samples, 1, max_subsets=max_subsets)  # warm-up: imports and memoised tables
+    tracemalloc.start()
+    try:
+        xc.sampled_vd(G, samples, 1, max_subsets=max_subsets)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def routed_sets(n, k, labels, samples):
@@ -254,12 +276,13 @@ class TestExactVd:
         assert xc.rank(G) == 39 and xc.rank(full) == 40
 
         def refuse(*args):
-            raise AssertionError("rank_batch called on a rank-deficient code")
+            raise AssertionError("rank_batch or _select called on a rank-deficient code")
 
         gens = [np.random.default_rng(5), np.random.default_rng(5)]
         want = xc.sampled_vd(full, 50, gens[0], max_subsets=1000)
         assert xc.simulate_ps(full, 0.01, 1000, gens[0]).successes > 0
         monkeypatch.setattr(decoding, "rank_batch", refuse)
+        monkeypatch.setattr(decoding, "_select", refuse)  # the draws only fill the buffer
         assert xc.exact_vd(G).counts == (0,) * 5
         vd = xc.sampled_vd(G, 50, gens[1], max_subsets=1000)
         assert vd.counts == (0,) * 5 and vd.samples == want.samples
@@ -283,7 +306,9 @@ class TestExactVd:
         ("g135", LIMIT, None, ["enumerated"] * 9),
         ("g135", 1, None, ["mobius"] * 9),
         ((3, 7), LIMIT, None, ["enumerated"] * 5),
-        ((5, 20), LIMIT, None, ["enumerated"] * 16),
+        ((5, 20), LIMIT, None, ["mobius"] * 16),  # 1,042,380 subsets overflow one block
+        ((7, 17), LIMIT, None, ["mobius"] * 11),  # 109,294 subsets overflow one block
+        ((7, 16), LIMIT, None, ["enumerated"] * 10),  # 50,643 subsets fit one block
         ((5, 24), LIMIT, None, ["mobius"] * 20),  # C(24, 12) is over the limit
         ((40, 44), LIMIT, None, ["mobius-dual"] * 5),
         ((12, 20), LIMIT, None, ["enumerated"] * 9),  # on its dual: n - k = 8 is over 7
@@ -293,9 +318,9 @@ class TestExactVd:
         ((56, 64, "deficient"), LIMIT, None, ["zero"] * 9),
         ("g135", 1000, 50, ["sampled"] * 4 + ["enumerated"] * 5),
         ((40, 44, "deficient"), 1000, 50, ["sampled"] * 2 + ["zero"] * 3),
-    ], ids=["g135", "g135-mobius", "7-3", "20-5", "24-5", "dual-44-40", "dual-20-12",
-            "refused-30-10", "refused-40-20", "deficient-44-40", "deficient-64-56",
-            "sampled-g135", "sampled-deficient-44-40"])
+    ], ids=["g135", "g135-mobius", "7-3", "20-5", "17-7", "16-7", "24-5", "dual-44-40",
+            "dual-20-12", "refused-30-10", "refused-40-20", "deficient-44-40",
+            "deficient-64-56", "sampled-g135", "sampled-deficient-44-40"])
     def test_ranks_every_subset_once(self, g135, code, max_subsets, samples, labels):
         # the routing table, and the benchmark's traced invariant: rank_batch sees every
         # subset of each enumerated entry and every draw of each sampled one, once
@@ -528,6 +553,12 @@ class TestMobius:
         vd = xc.exact_vd(G)
         assert vd.counts == tuple(want) and vd.totals == tuple(math.comb(44, m) for m in range(40, 45))
 
+    def test_overflowing_low_rate_vector_matches_enumeration(self):
+        # C(20, m) for m = 5..20 sum past one block, so exact_vd counts [20,5] by Mobius
+        G = xc.random_matrix(5, 20, np.random.default_rng(3))
+        assert decoding._route(_rank_space(G), 20, 5, LIMIT, False) == ["mobius"] * 16
+        assert xc.exact_vd(G).counts == tuple(_count_full_rank(_rank_space(G), 20, range(5, 21)))
+
     def test_oversized_low_rate_vector_ranks_nothing(self, g135, monkeypatch):
         def refuse(*args):
             raise AssertionError("rank_batch called on a Mobius-counted code")
@@ -611,10 +642,15 @@ class TestSampledVd:
         assert (vd.mode == "exact") == (not any(sampled))
 
     def test_draws_recount_on_the_generator(self, g135):
-        # regenerate each sampled entry's draws and rank them on G itself, for a dual and a
-        # primal code: 300 draws in one block of the default budget, then with a budget of
-        # 128 rows per block, 300 draws (128, 128 and 44), one block, and one block + 1
-        for G, max_subsets in [(high_rate_96(), 1), (g135, 100)]:
+        # regenerate each sampled entry's draws and rank them on G itself, for dual and
+        # primal codes: 300 draws in one block of the default budget, then with a budget of
+        # 128 rows per block, 300 draws (128, 128 and 44), one block, and one block + 1.
+        # On the [40,36] dual, j = 2 and 3 take argmax passes and j = 4 argpartition; on
+        # the primal [40,3], m = 3 takes argmin passes and larger m argpartition
+        for G, max_subsets in [(high_rate_96(), 1), (g135, 100),
+                               (xc.random_matrix(36, 40, 0), 100),
+                               (xc.random_matrix(3, 40, 0), 100)]:
+            assert xc.rank(G) == G.rows
             k, n = G.shape
             sampled = [m for m in range(k, n + 1) if math.comb(n, m) > max_subsets]
             for budget, draws in [(decoding._STREAM_BYTES, 300), (128 * 8 * n, 300),
@@ -632,23 +668,38 @@ class TestSampledVd:
                 assert vd.counts[-1] == 1
 
     def test_sampling_memory_stays_bounded(self):
-        # a block's (1213, 108) draws and their argpartition take 1 MiB each, and the
-        # [300,296] code's three entries sampled on its 4-row dual take (436, 300) blocks;
-        # keeping a block past its turn, or a block size that grows with n, would lift the
-        # peak past the bound
+        # a block's (1213, 108) draws fill the one 1 MiB buffer, and the [300,296] code's
+        # three entries sampled on its 4-row dual take (436, 300) blocks; keeping a block
+        # past its turn, or a block size that grows with n, would lift the peak past the bound
         for G, samples, max_subsets, bound in [
                 (xc.random_matrix(100, 108, 3), 20_000, 100, 8 << 20),
                 (xc.random_matrix(296, 300, np.random.default_rng(0)), 5000, 1000, 4 << 20)]:
             assert xc.rank(G) == G.rows
-            # warm-up: imports and memoised tables
-            xc.sampled_vd(G, samples, 1, max_subsets=max_subsets)
-            tracemalloc.start()
-            try:
-                xc.sampled_vd(G, samples, 1, max_subsets=max_subsets)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak < bound
+            assert sampling_peak(G, samples, max_subsets) < bound
+
+    def test_narrow_sides_hold_one_draw_buffer(self):
+        # every sampled side of these duals (j <= 8 of 108, j <= 4 of 300) is taken by
+        # passes over the one 1 MiB buffer, with no argpartition of the same size
+        # beside it: about 1.1 and 1.0 MiB, against 2.0 MiB for both when drawn afresh
+        for G, samples, max_subsets in [
+                (xc.random_matrix(100, 108, 3), 20_000, 100),
+                (xc.random_matrix(296, 300, np.random.default_rng(0)), 5000, 1000)]:
+            assert sampling_peak(G, samples, max_subsets) < 1.5 * (1 << 20)
+
+    @settings(max_examples=80, derandomize=True, deadline=None)
+    @given(selections())
+    @example((40, 37, True, 5, 0))  # w = 3: argmax passes
+    @example((40, 36, True, 5, 0))  # w = 4: argpartition
+    @example((40, 3, False, 5, 0))  # argmin passes
+    @example((40, 4, False, 5, 0))  # argpartition
+    def test_select_takes_each_rows_side(self, case):
+        n, m, dual, rows, seed = case
+        draws = np.random.default_rng(seed).random((rows, n))
+        order = np.argsort(draws, axis=1)
+        want = order[:, m:] if dual else order[:, :m]
+        table = _select(draws, m, dual)
+        assert table.dtype == np.int32 and table.shape == (want.shape[1], rows)
+        assert [set(r) for r in table.T.tolist()] == [set(r) for r in want.tolist()]
 
     def test_all_exact_when_threshold_high(self, g135, vd135):
         vd = xc.sampled_vd(g135, 10, 0)
