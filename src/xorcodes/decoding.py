@@ -30,10 +30,16 @@ tables, each no larger than one block, and larger sizes and sampled
 draws come as int32 blocks that are never kept.  On top of that sit the
 erasure-channel success probability, the analytic random-linear-code
 baseline, the MDS predicate, and a Monte Carlo channel simulator used as
-an empirical cross-check.  The simulator groups the trials of 8 MiB of
-draws at a time as packed keys, but draws them through one 1 MiB buffer
-and ranks each group's distinct erasure patterns in blocks of at most
-1 MiB of column sets, so its memory does not grow with the trials or n.
+an empirical cross-check.  A sweep of the success probability over a
+grid of erasure probabilities is one table of loss terms, a row per
+point, built 1 MiB of rows at a time: libm's pow or exp gives each term,
+and numpy multiplies the table and sums each row left to right, so each
+point is the float that the same point alone gives.  The last table is
+kept, for the next code scored on the same grid.  The simulator groups
+the trials of 8 MiB of draws at a time as packed keys, but draws them
+through one 1 MiB buffer and ranks each group's distinct erasure
+patterns in blocks of at most 1 MiB of column sets, so its memory does
+not grow with the trials or n.
 """
 
 from __future__ import annotations
@@ -78,6 +84,7 @@ _CHUNK = 65_536
 # Every block of uniform draws (a sampled entry's or a simulation chunk's) fills at most
 # _STREAM_BYTES of float64 rows; simulate_ps groups the trials of 8 MiB of draws (a chunk)
 # as packed keys, and ranks its patterns in blocks of at most _STREAM_BYTES of column sets.
+# A sweep's table of loss terms is built for at most _STREAM_BYTES of float64 rows at a time.
 _SIMULATION_CHUNK_BYTES = 8 << 20
 _STREAM_BYTES = 1 << 20
 
@@ -511,57 +518,111 @@ def sampled_vd(G: BinaryMatrix, samples_per_entry: int, rng,
 
 
 @functools.cache
-def _log_binomials(n: int) -> tuple[float, ...]:
-    """log C(n, i) for i = 0..n as lgamma(n+1) - lgamma(i+1) - lgamma(n-i+1), kept per n."""
-    lg = math.lgamma(n + 1)
-    return tuple(lg - math.lgamma(i + 1) - math.lgamma(n - i + 1) for i in range(n + 1))
-
-
-def _loss_terms(n: int, p: float) -> list[float]:
-    """C(n, i) p^i (1-p)^(n-i) for i = 0..n, switching to logarithms for large n.
-
-    The log route adds i log p and (n - i) log(1-p) to the kept
-    :func:`_log_binomials` in the order of one left-to-right expression, so
-    every term is the same float as when it was evaluated whole.
-    """
+def _loss_coefficients(n: int) -> np.ndarray:
+    """The coefficients of the n + 1 loss terms of length n, kept per n and read-only:
+    C(n, i) as floats for n <= 60, else log C(n, i) = lgamma(n+1) - lgamma(i+1) - lgamma(n-i+1)."""
     if n <= 60:
-        return [math.comb(n, i) * p**i * (1.0 - p) ** (n - i) for i in range(n + 1)]
-    if p == 0.0:
-        return [1.0] + [0.0] * n
-    if p == 1.0:
-        return [0.0] * n + [1.0]
-    lp, lq = math.log(p), math.log1p(-p)
-    return [math.exp(lc + i * lp + (n - i) * lq) for i, lc in enumerate(_log_binomials(n))]
+        row = [float(math.comb(n, i)) for i in range(n + 1)]
+    else:
+        lg = math.lgamma(n + 1)
+        row = [lg - math.lgamma(i + 1) - math.lgamma(n - i + 1) for i in range(n + 1)]
+    out = np.array(row)
+    out.flags.writeable = False
+    return out
+
+
+@functools.lru_cache(maxsize=1)
+def _loss_table(n: int, ps: tuple) -> np.ndarray:
+    """The (len(ps), n + 1) table of loss terms C(n, i) p^i (1-p)^(n-i), one row per p.
+
+    Every term is the float of its one-term expression: C(n, i) * p**i *
+    (1-p)**(n-i) for n <= 60, else exp(log C(n, i) + i log p + (n-i) log(1-p))
+    with exact rows at p = 0 and 1.  numpy does the products and sums, in
+    that expression's order; each pow and exp is libm's, called once per
+    term through ``map``.  numpy's own np.power and np.exp are vectorised
+    approximations that differ from libm in the last bit on some arguments
+    (thousands of 200,000 random ones on an AVX-512 machine), which would
+    change printed sweeps.  The table depends on n and the grid alone, so
+    the last one is kept, read-only: a search scores every code at one
+    (n, p), and curves of several codes share one grid.
+    """
+    s = n + 1
+    c = _loss_coefficients(n)
+    if n <= 60:
+        # pow(x, j) for j = 0..n of every x: each p, then each 1 - p
+        bases = [*ps, *(1.0 - p for p in ps)]
+        runs = itertools.chain.from_iterable(map(itertools.repeat, bases, itertools.repeat(s)))
+        powers = np.fromiter(map(pow, runs, itertools.cycle(range(s))), float, len(bases) * s)
+        powers = powers.reshape(2, len(ps), s)
+        terms = c * powers[0] * powers[1, :, ::-1]
+        terms.flags.writeable = False
+        return terms
+    inner = [p if 0.0 < p < 1.0 else 0.5 for p in ps]  # p = 0 and 1 get exact rows below
+    i = np.arange(s, dtype=float)
+    args = (c + i * np.array([math.log(p) for p in inner])[:, None]
+            + (n - i) * np.array([math.log1p(-p) for p in inner])[:, None])
+    # a memoryview hands map one float at a time, where tolist would hold them all at once
+    terms = np.fromiter(map(math.exp, memoryview(args.ravel())), float, args.size).reshape(args.shape)
+    for row, p in zip(terms, ps):
+        if p == 0.0 or p == 1.0:
+            row[:] = 0.0
+            row[0 if p == 0.0 else n] = 1.0
+    terms.flags.writeable = False
+    return terms
+
+
+def _channel_points(vd: DecodingVector, ps) -> list[ChannelPoint]:
+    """The channel point of ``vd`` at each erasure probability in ``ps``, in order.
+
+    Failure aggregates two events: i <= n-k packets lost but the surviving
+    n-i columns undecodable (weight 1 - rho[n-k-i]), and more than n-k
+    packets lost (always undecodable).  Each row of :func:`_loss_table`
+    is weighted and summed left to right by ``np.add.accumulate``, one
+    event at a time, so p_u = p_u1 + p_u2 is the float of two sequential
+    loops.  The grid is tabulated ``_STREAM_BYTES`` of rows at a time, so
+    memory does not grow with the number of points.  A code of rank below
+    k (rho all 0) gets exactly p_s = 0, not the rounding residue of 1 - p_u.
+    """
+    for p in ps:
+        if not 0.0 <= p <= 1.0:
+            raise ValueError(f"erasure probability must be in [0, 1], got {p}")
+    if not vd.rho.any():
+        return [ChannelPoint(p, 0.0, 1.0) for p in ps]
+    m = vd.n - vd.k + 1
+    weights = 1.0 - vd.rho[::-1]
+    step = max(1, _STREAM_BYTES // (8 * (vd.n + 1)))
+    points = []
+    for start in range(0, len(ps), step):
+        block = ps[start:start + step]
+        terms = _loss_table(vd.n, tuple(block))
+        p_u1 = np.add.accumulate(terms[:, :m] * weights, axis=1)[:, -1].tolist()
+        p_u2 = np.add.accumulate(terms[:, m:], axis=1)[:, -1].tolist()
+        for p, u1, u2 in zip(block, p_u1, p_u2):
+            p_u = min(max(u1 + u2, 0.0), 1.0)
+            points.append(ChannelPoint(p, 1.0 - p_u, p_u))
+    return points
 
 
 def p_success(vd: DecodingVector, p: float) -> ChannelPoint:
     """Channel success probability at erasure probability p.
 
-    Failure aggregates two events: i <= n-k packets lost but the surviving
-    n-i columns undecodable (weight 1 - rho[n-k-i]), and more than n-k
-    packets lost (always undecodable).  A code of rank below k (rho all 0)
-    gets exactly p_s = 0, not the rounding residue of 1 - p_u.
+    The one-point case of :func:`channel_sweep`, with the same floats: its
+    loss terms take libm's pow or exp per term, never numpy's, whose last
+    bit differs on some arguments.  Raises ValueError unless 0 <= p <= 1.
     """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"erasure probability must be in [0, 1], got {p}")
-    if not vd.rho.any():
-        return ChannelPoint(p=p, p_s=0.0, p_u=1.0)
-    n, k = vd.n, vd.k
-    terms = _loss_terms(n, p)
-    rho = vd.rho.tolist()
-    p_u1 = 0.0
-    for i in range(0, n - k + 1):
-        p_u1 += terms[i] * (1.0 - rho[n - k - i])
-    p_u2 = 0.0
-    for i in range(n - k + 1, n + 1):
-        p_u2 += terms[i]
-    p_u = min(max(p_u1 + p_u2, 0.0), 1.0)
-    return ChannelPoint(p=p, p_s=1.0 - p_u, p_u=p_u)
+    return _channel_points(vd, [p])[0]
 
 
 def channel_sweep(vd: DecodingVector, p_values) -> list[ChannelPoint]:
-    """Evaluate the success probability over a grid of erasure probabilities."""
-    return [p_success(vd, float(p)) for p in p_values]
+    """Evaluate the success probability over a grid of erasure probabilities.
+
+    The whole grid is one table of loss terms, summed row by row, and each
+    point is the float that :func:`p_success` gives for it alone.  Each
+    term's pow or exp is libm's, called per term: numpy's np.power and
+    np.exp differ from libm in the last bit on some arguments, which would
+    change printed sweeps.  Raises ValueError at the first p outside [0, 1].
+    """
+    return _channel_points(vd, [float(p) for p in p_values])
 
 
 def rlnc_P(I: int, k: int, q: int) -> float:

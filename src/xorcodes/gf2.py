@@ -12,7 +12,10 @@ clears the highest leading bit of every collection at once: the column
 with the largest top limb is the pivot, and each step is a handful of
 numpy reductions across contiguous rows.
 :func:`parity_check` gives a basis of the null space, whose columns
-decide the rank of a high-rate code's column sets by duality.
+decide the rank of a high-rate code's column sets by duality.  It
+reduces rows packed into uint64 words one byte of columns at a time: a
+table of every XOR combination of the byte's pivot rows clears that byte
+of all rows by one lookup each (the method of Four Russians).
 All operations are pure; matrices are immutable once built.
 """
 
@@ -145,35 +148,69 @@ def is_nonsingular(M: BinaryMatrix) -> bool:
     return rank(M) == M.rows
 
 
+# _GRAY_FLIPS[j - 1] is the lowest set bit of j: flipping bit _GRAY_FLIPS[j - 1] of a mask
+# for j = 1 .. 2^t - 1 visits every nonzero mask of t <= 8 bits once (a Gray code).
+_GRAY_FLIPS = np.array([(j & -j).bit_length() - 1 for j in range(1, 256)])
+
+
 def parity_check(M: BinaryMatrix) -> BinaryMatrix:
     """Parity-check matrix: n - rank(M) independent rows spanning M's null space.
 
-    Every row h satisfies M h = 0 over GF(2), so M Hᵀ = 0.  Raises
+    Every row h satisfies M h = 0 over GF(2), so M Hᵀ = 0.  H is read off
+    the reduced row echelon form of M: free column f gives the row with
+    h[f] = 1 and h[pivots[i]] = a[i, f], so it is one fixed matrix however
+    the form is reached.  Rows are bit-packed (bit c % 8 of byte c // 8 is
+    column c) into uint64 words and reduced one byte of columns at a time,
+    as in the method of Four Russians: up to 8 rows whose byte values are
+    independent give the byte's pivots, every XOR combination of them is
+    tabulated by the bits it holds at those pivots, and one table lookup
+    per row clears the pivot bits of every row at once.  Raises
     ValueError when M has full column rank, whose null space is {0}.
     """
-    a = M.to_array()
+    k, n = M.shape
+    width = -(-n // 8)
+    packed = np.zeros((k, 8 * -(-n // 64)), dtype=np.uint8)
+    packed[:, :width] = np.packbits(M.array, axis=1, bitorder="little")
+    rest = packed.view(np.uint64)  # rows not yet reduced to a pivot row
+    reduced = np.zeros_like(rest)  # pivot rows, in reduced echelon form
     pivots: list[int] = []
-    for c in range(M.cols):
+    for b in range(width):
         r = len(pivots)
-        if r == M.rows:
+        if r == k:
             break
-        below = np.flatnonzero(a[r:, c])
-        if not below.size:
+        lead: dict[int, int] = {}  # lowest set bit -> a reduced byte value with that bit lowest
+        rows = []
+        for i, v in enumerate(packed[:, b].tolist()):
+            while v:
+                low = v & -v
+                if low not in lead:
+                    lead[low] = v
+                    rows.append(i)
+                    break
+                v ^= lead[low]
+            if len(rows) == 8:
+                break
+        if not rows:
             continue
-        a[[r, r + below[0]]] = a[[r + below[0], r]]
-        hit = np.flatnonzero(a[:, c])
-        a[hit[hit != r]] ^= a[r]
-        pivots.append(c)
+        # every nonzero XOR combination of the chosen rows, in Gray-code order
+        combos = np.bitwise_xor.accumulate(rest[np.array(rows)[_GRAY_FLIPS[:(1 << len(rows)) - 1]]])
+        mask = sum(lead)
+        table = np.zeros((mask + 1, rest.shape[1]), dtype=np.uint64)
+        table[combos.view(np.uint8)[:, b] & mask] = combos
+        rest ^= table[packed[:, b] & mask]
+        reduced[:r] ^= table[reduced.view(np.uint8)[:r, b] & mask]
+        reduced[r:r + len(lead)] = table[list(lead)]
+        pivots += [8 * b + low.bit_length() - 1 for low in lead]
     # a mask, not np.setdiff1d, whose np.unique imports numpy.ma: a slow first import
-    is_free = np.ones(M.cols, dtype=bool)
+    is_free = np.ones(n, dtype=bool)
     is_free[pivots] = False
     free = np.flatnonzero(is_free)
     if not free.size:
-        raise ValueError(f"a {M.rows}x{M.cols} matrix of full column rank has no parity-check matrix")
-    # reduced row echelon form: free column f gives h[f] = 1, h[pivots[i]] = a[i, f]
-    H = np.zeros((free.size, M.cols), dtype=np.uint8)
+        raise ValueError(f"a {k}x{n} matrix of full column rank has no parity-check matrix")
+    a = np.unpackbits(reduced[:len(pivots)].view(np.uint8), axis=1, count=n, bitorder="little")
+    H = np.zeros((free.size, n), dtype=np.uint8)
     H[:, free] = np.eye(free.size, dtype=np.uint8)
-    H[:, pivots] = a[:len(pivots), free].T
+    H[:, pivots] = a[:, free].T
     return BinaryMatrix(H)
 
 

@@ -520,6 +520,8 @@ class TestPinnedOutputs:
         "eval-16-12": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "search": "c06f962298df29c7c273c5c752ef34124fe61ec233074be7c11c2edfcbd38d0d",
         "simulate": "b7f96ed920e5573cd9fde256091fc3d1e07586f834c352b67b33d89574135c12",
+        "baseline-108-100": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "baseline-64-56": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "a.csv": "8f23595773269a68deea0cc88ea0fefded75eaabb5ce4ba346ccb6ac84ad84c0",
         "b.csv": "c78f1070a317a73ebcc142eb7bfc133d060e04146a7c2d1e10e5a226f55304ac",
         "c.csv": "4b258a3328f015f501fd846bb3caa089dbd4f4817d5df9c992ede5ac45c1d432",
@@ -527,6 +529,10 @@ class TestPinnedOutputs:
         "e.csv": "b115a907f06f207fb2b811af0e30fef9c672ac3087b2cd097e7e7c6738b42bc4",
         "f.csv": "9a07a7c61bbcf23ba95495b16c2f3215bac454926413acbc8733db70b5392b36",
         "g.txt": "fc5a4104bea2abe1423e14805677c251061bbb47a55f3c4ecb63bd6d52224301",
+        "h.csv": "5de6b6729841bd1e013f4c2244eb4dbf7355cab2c79ad4aa58d36077d6c91491",
+        "i.csv": "27370feb098834147d642091a3fcb5a32506462ab74f60d543b1b9d3382efff7",
+        "j.csv": "8616bdca770f64d2e32d53a9a835a52ccb6f39e6f405d57f3385d00e1b0d82bd",
+        "k.csv": "7cdedc151d7e485c341ed19f5c980867d6dcefb5ae52ad43b68bb976bc592509",
     }
 
     def test_outputs_byte_identical(self, capsys, tmp_path, monkeypatch):
@@ -548,6 +554,11 @@ class TestPinnedOutputs:
                        "--out", "g.txt"],
             "simulate": ["simulate", "g_13_5.txt", "--p", "0.1", "--trials", "20000",
                          "--seed", "3"],
+            # n > 60: every loss term takes the logarithm route
+            "baseline-108-100": ["baseline", "--n", "108", "--k", "100",
+                                 "--out-vd", "h.csv", "--out-sweep", "i.csv"],
+            "baseline-64-56": ["baseline", "--n", "64", "--k", "56",
+                               "--out-vd", "j.csv", "--out-sweep", "k.csv"],
         }
         got = {}
         for name, argv in runs.items():

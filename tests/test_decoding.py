@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import xorcodes as xc
 from xorcodes import decoding
-from xorcodes.decoding import (_comb_table, _count_full_rank, _distinct_rows, _loss_terms,
+from xorcodes.decoding import (_comb_table, _count_full_rank, _distinct_rows, _loss_table,
                                _mask_width, _mobius_counts, _rank_space, _select,
                                _subset_blocks, _subspaces, _unrank, format_float)
 from xorcodes.gf2 import rank_batch
@@ -106,6 +106,69 @@ def repeated_last_row(k, n, seed):
     a = xc.random_matrix(k, n, np.random.default_rng(seed)).to_array()
     a[-1] = a[0]
     return xc.BinaryMatrix(a)
+
+
+# The channel formula one point at a time, by a list of terms and two sequential loops:
+# the oracle that every sweep must match bit for bit.
+@functools.cache
+def _log_binomials(n: int) -> tuple[float, ...]:
+    """log C(n, i) for i = 0..n as lgamma(n+1) - lgamma(i+1) - lgamma(n-i+1), kept per n."""
+    lg = math.lgamma(n + 1)
+    return tuple(lg - math.lgamma(i + 1) - math.lgamma(n - i + 1) for i in range(n + 1))
+
+
+def _loss_terms(n: int, p: float) -> list[float]:
+    """C(n, i) p^i (1-p)^(n-i) for i = 0..n, switching to logarithms for large n.
+
+    The log route adds i log p and (n - i) log(1-p) to the kept
+    :func:`_log_binomials` in the order of one left-to-right expression, so
+    every term is the same float as when it was evaluated whole.
+    """
+    if n <= 60:
+        return [math.comb(n, i) * p**i * (1.0 - p) ** (n - i) for i in range(n + 1)]
+    if p == 0.0:
+        return [1.0] + [0.0] * n
+    if p == 1.0:
+        return [0.0] * n + [1.0]
+    lp, lq = math.log(p), math.log1p(-p)
+    return [math.exp(lc + i * lp + (n - i) * lq) for i, lc in enumerate(_log_binomials(n))]
+
+
+def oracle_point(vd, p):
+    """One channel point by the term list above and two sequential loops."""
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"erasure probability must be in [0, 1], got {p}")
+    if not vd.rho.any():
+        return xc.ChannelPoint(p=p, p_s=0.0, p_u=1.0)
+    n, k = vd.n, vd.k
+    terms = _loss_terms(n, p)
+    rho = vd.rho.tolist()
+    p_u1 = 0.0
+    for i in range(0, n - k + 1):
+        p_u1 += terms[i] * (1.0 - rho[n - k - i])
+    p_u2 = 0.0
+    for i in range(n - k + 1, n + 1):
+        p_u2 += terms[i]
+    p_u = min(max(p_u1 + p_u2, 0.0), 1.0)
+    return xc.ChannelPoint(p=p, p_s=1.0 - p_u, p_u=p_u)
+
+
+def point_bits(points):
+    """Each point's p and the exact bits of its p_s and p_u."""
+    return [(pt.p, pt.p_s.hex(), pt.p_u.hex()) for pt in points]
+
+
+@st.composite
+def sweep_cases(draw):
+    """(vd, ps): an [n, k] vector with n = 1..130 (both term routes, n = k included, all-zero
+    rho among them) and a grid holding p = 0 and 1 as well as random p."""
+    n = draw(st.integers(1, 130), label="n")
+    k = draw(st.integers(1, n), label="k")
+    entry = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
+    rho = draw(st.just([0.0] * (n - k + 1)) | st.lists(entry, min_size=n - k + 1,
+                                                        max_size=n - k + 1), label="rho")
+    ps = draw(st.lists(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0), max_size=6), label="ps")
+    return xc.DecodingVector(n, k, rho), ps
 
 
 def traced_vd(G, max_subsets, samples=None):
@@ -751,12 +814,12 @@ class TestPSuccess:
 
     def test_loss_terms_sum_to_one(self):
         for n in (13, 61, 108):
-            total = sum(_loss_terms(n, 0.23))
+            total = sum(_loss_table(n, (0.23,))[0].tolist())
             assert total == pytest.approx(1.0, abs=1e-9)
 
     def test_log_route_matches_direct_products(self):
         # n=61 takes the logarithm branch; n<=60 the integer one
-        terms = _loss_terms(61, 0.3)
+        terms = _loss_table(61, (0.3,))[0].tolist()
         for i in (0, 7, 30, 61):
             direct = math.comb(61, i) * 0.3 ** i * 0.7 ** (61 - i)
             assert terms[i] == pytest.approx(direct, rel=1e-10)
@@ -784,7 +847,7 @@ class TestPSuccess:
     @pytest.mark.parametrize("k,n,seed", [(40, 44, 16), (56, 64, 0)])
     def test_rank_deficient_code_never_decodes(self, k, n, seed):
         # an all-zero vector gives exactly p_s = 0 and p_u = 1, not the rounding
-        # residue of 1 - p_u; n = 64 takes the logarithm branch of _loss_terms
+        # residue of 1 - p_u; n = 64 takes the logarithm branch of _loss_table
         vd = xc.exact_vd(repeated_last_row(k, n, seed))
         for p in (0.02, 0.3):
             assert xc.p_success(vd, p) == xc.ChannelPoint(p, 0.0, 1.0)
@@ -793,6 +856,43 @@ class TestPSuccess:
         vd = xc.rlnc_vd(70, 60, 2)
         assert xc.p_success(vd, 0.0).p_s == pytest.approx(float(vd.rho[-1]))
         assert xc.p_success(vd, 1.0).p_s == 0.0
+
+    @settings(max_examples=120, derandomize=True, deadline=None)
+    @given(sweep_cases())
+    @example((xc.rlnc_vd(60, 52, 2), [0.0, 0.3, 1.0]))
+    @example((xc.rlnc_vd(61, 53, 2), [0.0, 0.3, 1.0]))
+    @example((xc.rlnc_vd(44, 40, 2), [i * 0.01 for i in range(51)]))  # the CLI's default grid
+    @example((xc.rlnc_vd(108, 100, 2), [i * 0.01 for i in range(51)]))
+    @example((xc.DecodingVector(7, 7, [1.0]), [-0.0, 0.5, 1.0]))
+    @example((xc.DecodingVector(70, 64, [0.0] * 7), [0.0, 0.02, 1.0]))
+    @example((xc.rlnc_vd(13, 5, 2), []))
+    @example((xc.rlnc_vd(70, 60, 2), []))
+    def test_sweep_matches_the_per_point_oracle(self, case):
+        vd, ps = case
+        assert point_bits(xc.channel_sweep(vd, ps)) == point_bits(oracle_point(vd, p) for p in ps)
+        for p in ps:
+            assert point_bits([xc.p_success(vd, p)]) == point_bits(xc.channel_sweep(vd, [p]))
+        for bad in (-0.1, 1.5, math.nan):
+            with pytest.raises(ValueError) as want:
+                oracle_point(vd, bad)
+            with pytest.raises(ValueError) as got:
+                xc.p_success(vd, bad)
+            assert str(got.value) == str(want.value)
+            with pytest.raises(ValueError) as got:
+                xc.channel_sweep(vd, [*ps, bad, 0.5])
+            assert str(got.value) == str(want.value)
+
+    def test_long_grid_is_tabulated_in_bounded_blocks(self):
+        # at n = 130 a 1 MiB block holds 1,000 rows, so 5,001 points take six blocks; one
+        # table of them all would fill 5.2 MB, and its table of exp arguments as much again
+        vd = xc.rlnc_vd(130, 122, 2)
+        grid = [i / 5000 for i in range(5001)]
+        tracemalloc.start()
+        points = xc.channel_sweep(vd, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak < 6 * 2**20
+        assert point_bits(points) == point_bits(oracle_point(vd, p) for p in grid)
 
     def test_channel_sweep(self, vd135):
         pts = xc.channel_sweep(vd135, [0.0, 0.1, 0.2])

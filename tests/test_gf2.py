@@ -29,6 +29,25 @@ def python_int_ranks(colsets: np.ndarray, k: int) -> list[int]:
     return [xc.rank(xc.BinaryMatrix(b[:, :k].T)) for b in bits]
 
 
+def rref_parity_check(a: np.ndarray) -> list[list[int]]:
+    """Oracle: H read off the reduced row echelon form of a, eliminated one column at a
+    time on rows held as python ints (bit c = column c); [] at full column rank."""
+    k, n = a.shape
+    rows = [sum(x << c for c, x in enumerate(row)) for row in a.tolist()]
+    pivots = []
+    for c in range(n):
+        r = len(pivots)
+        hit = next((i for i in range(r, k) if rows[i] >> c & 1), None)
+        if hit is None:
+            continue
+        rows[r], rows[hit] = rows[hit], rows[r]
+        rows = [row ^ rows[r] if i != r and row >> c & 1 else row for i, row in enumerate(rows)]
+        pivots.append(c)
+    free = [c for c in range(n) if c not in pivots]
+    return [[rows[pivots.index(c)] >> f & 1 if c in pivots else int(c == f) for c in range(n)]
+            for f in free]
+
+
 class TestBinaryMatrix:
     def test_basic_properties(self):
         M = xc.BinaryMatrix([[1, 0, 1], [0, 1, 1]])
@@ -153,6 +172,34 @@ class TestParityCheck:
     def test_rejects_full_column_rank(self):
         with pytest.raises(ValueError, match="full column rank"):
             xc.parity_check(xc.BinaryMatrix.identity(4))
+
+    @settings(max_examples=80, derandomize=True, deadline=None)
+    @given(st.data())
+    def test_is_the_reduced_echelon_basis(self, data):
+        # random, sparse and rank-deficient matrices, up to 70 columns (9 bytes, 2 words)
+        k = data.draw(st.integers(1, 30), label="k")
+        n = data.draw(st.integers(1, 70), label="n")
+        density = data.draw(st.sampled_from([0.03, 0.15, 0.5, 0.9]), label="density")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        a = (rng.random((k, n)) < density).astype(np.uint8)
+        # rows r..k-1 are sums of two rows above them, so rank(M) <= r
+        r = data.draw(st.integers(1, k), label="r")
+        for i in range(r, k):
+            a[i] = a[rng.integers(i)] ^ a[rng.integers(i)]
+        want = rref_parity_check(a)
+        if not want:
+            with pytest.raises(ValueError, match="full column rank"):
+                xc.parity_check(xc.BinaryMatrix(a))
+            return
+        assert xc.parity_check(xc.BinaryMatrix(a)).array.tolist() == want
+
+    @pytest.mark.parametrize("k,n,seed,deficient", [(296, 300, 0, False), (100, 108, 1, True),
+                                                    (20, 64, 2, True)])
+    def test_large_matrix_is_the_reduced_echelon_basis(self, k, n, seed, deficient):
+        a = xc.random_matrix(k, n, seed).to_array()
+        if deficient:
+            a[-1] = a[0]
+        assert xc.parity_check(xc.BinaryMatrix(a)).array.tolist() == rref_parity_check(a)
 
 
 class TestSelectColumns:
