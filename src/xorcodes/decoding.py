@@ -21,13 +21,20 @@ a wider one by argpartition, with the same sets unless two draws tie
 exactly at the cut.  A low-rate code whose subsets overflow one block
 goes to Mobius counting instead when k <= 7.  The columns are packed
 once, in the word ``pack_columns`` chooses (uint8 for up to 8 rows), and
-a block is filled limb by limb with 1-d gathers and ranked in one batch
-call, so a [13,5] vector is one call.  Subset index tables are unranked in numpy by the
-combinatorial number system.  The intp table of every size that fits one
-block is built once per process and reused, since a search scores
-thousands of codes of one length; a length keeps at most n + 1 such
-tables, each no larger than one block, and larger sizes and sampled
-draws come as int32 blocks that are never kept.  On top of that sit the
+a block is ranked in one batch call, so a [13,5] vector is one call.  A
+block that holds the n-subset (the last block of every primal vector) is
+n columns wide anyway, so it is filled from 0/1 membership masks, one
+(n, C(n, j)) uint8 table per size: one concatenation, then one multiply
+by the column words per limb.  Every narrower block (all of a dual's,
+sizes larger than one block, sampled draws) is filled limb by limb with
+1-d gathers from subset index tables, unranked in numpy by the
+combinatorial number system.  The mask or intp table of every size that
+fits one block is built once per process and reused, since a search
+scores thousands of codes of one length; a length keeps at most n + 1 of
+each, none larger than one block (all of [13,5]'s masks take 92 KB, its
+intp tables 394 KB), and larger sizes and sampled draws come as int32
+blocks that are never kept.  One ``np.add.reduceat`` over a block's
+full-rank flags counts all of its entries.  On top of that sit the
 erasure-channel success probability, the analytic random-linear-code
 baseline, the MDS predicate, and a Monte Carlo channel simulator used as
 an empirical cross-check.  A sweep of the success probability over a
@@ -227,18 +234,44 @@ def _comb_table(n: int, j: int) -> np.ndarray:
     return table
 
 
+@functools.cache
+def _membership(n: int, j: int) -> np.ndarray:
+    """All j-subsets of range(n) as one read-only (n, C(n, j)) uint8 0/1 table, kept per process.
+
+    Column c marks the members of the c-th subset in lexicographic order
+    (:func:`_unrank`), so ``mask * col[:, None]`` lays every subset's
+    columns out in place over all n rows, with zero columns between them.
+    One byte per column and member slot: n C(n, j) bytes against the
+    8 j C(n, j) of the intp :func:`_comb_table`.
+    """
+    count = math.comb(n, j)
+    mask = np.zeros((n, count), dtype=np.uint8)
+    mask[_unrank(n, j, 0, count, np.intp), np.arange(count)] = 1
+    mask.flags.writeable = False
+    return mask
+
+
 def _subset_blocks(n: int, sizes):
     """Yield the j-subsets of range(n), for each j in ``sizes``, in blocks of at most ``_CHUNK``.
 
     A block is a list of (j, table) pairs, each table a (j, count) index
     array of subsets in lexicographic order (:func:`_count_full_rank`
-    puts its sampled draws in the same form).  A size with C(n, j) <=
-    ``_CHUNK`` comes whole as its memoised :func:`_comb_table` (at most
-    n + 1 per length) and shares a block with the sizes before it while
-    they fit.  A larger size is unranked (:func:`_unrank`) one block at a
-    time as int32 tables that are never kept (intp would double their
-    memory).
+    puts its sampled draws in the same form).  A block that holds the
+    n-subset (j = n) is n columns wide whatever else it holds, so there
+    every table is the size's (n, count) :func:`_membership` mask instead,
+    and no block grows wider than before.  A size with C(n, j) <=
+    ``_CHUNK`` comes whole as its memoised table or mask and shares a
+    block with the sizes before it while they fit; a length keeps at most
+    n + 1 of each, and the masks take n / (8 j) of the intp tables'
+    memory (92 KB against 394 KB for all of [13,5]).  A larger size (so
+    j < n) is unranked (:func:`_unrank`) one block at a time as int32
+    tables that are never kept (intp would double their memory).
     """
+
+    def kept(js):
+        table = _membership if n in js else _comb_table
+        return [(j, table(n, j)) for j in js]
+
     block, used = [], 0
     for j in sizes:
         total = math.comb(n, j)
@@ -247,12 +280,12 @@ def _subset_blocks(n: int, sizes):
                 yield [(j, _unrank(n, j, start, min(_CHUNK, total - start), np.int32))]
             continue
         if used + total > _CHUNK:
-            yield block
+            yield kept(block)
             block, used = [], 0
-        block.append((j, _comb_table(n, j)))
+        block.append(j)
         used += total
     if block:
-        yield block
+        yield kept(block)
 
 
 def _rank_space(G: BinaryMatrix) -> tuple[np.ndarray | None, int, bool]:
@@ -300,6 +333,33 @@ def _select(draws: np.ndarray, m: int, dual: bool) -> np.ndarray:
     return table
 
 
+def _fill(block, bounds, words: np.ndarray, n: int) -> np.ndarray:
+    """The (limbs, width, count) column sets of one block of :func:`_subset_blocks`, width
+    its largest j: table i's subsets in columns bounds[i]:bounds[i + 1], one limb of
+    ``words`` (limb-major packed columns) per limb.
+
+    A block of width n holds masks (sampled draws never do: the one
+    n-subset is always enumerated, and a dual's j is at most n - k).  It is
+    one ``np.concatenate`` of its masks into limb 0 and one ``np.multiply``
+    per limb by that limb's column words, limb 0, which the others read,
+    last; every row is written.  Any other block starts zeroed, and each
+    table gathers every limb into its first j rows, leaving inert zero
+    columns below.
+    """
+    width = max(j for j, _ in block)
+    if width == n:
+        sets = np.empty((len(words), n, bounds[-1]), words.dtype)
+        np.concatenate([mask for _, mask in block], axis=1, out=sets[0])
+        for limb, col in zip(sets[::-1], words[::-1]):
+            np.multiply(sets[0], col[:, None], out=limb)
+        return sets
+    sets = np.zeros((len(words), width, bounds[-1]), words.dtype)
+    for limb, col in zip(sets, words):
+        for (j, table), a, b in zip(block, bounds, bounds[1:]):
+            limb[:j, a:b] = col[table]
+    return sets
+
+
 def _count_full_rank(space, n: int, sizes, samples=None, gen=None) -> list[int]:
     """Full-rank m-subsets of the n columns ranked on ``space`` (:func:`_rank_space`), for
     each m in ``sizes`` in that order: among the matching ``samples`` entry's uniform
@@ -312,16 +372,19 @@ def _count_full_rank(space, n: int, sizes, samples=None, gen=None) -> list[int]:
     block is drawn into one float64 buffer, allocated once per vector, and
     :func:`_select` takes each row's side (by argmax or argmin passes when it
     is narrow, else by argpartition) as an int32 table.  The columns are taken
-    once as limb-major words, a C-ordered ``packed.T``.  A block is ranked
-    in one :func:`rank_batch` call on a zeroed (limbs, width, count) array,
-    width its largest j; each table gathers every limb into its first j
-    rows, and the zero columns below are inert.  On the dual of
-    :func:`_rank_space` an m-subset is full rank when its complementary
-    (n - m)-subset is independent, so j = n - m and a rank of j counts; on
-    the primal j = m and the row count does.  A space without ``packed``
+    once as limb-major words, a C-ordered ``packed.T``.  :func:`_fill` lays
+    a block out as a (limbs, width, count) array, width its largest j: from
+    membership masks over all n rows when the block holds j = n, else by
+    gathering each table into its first j rows.  The block is ranked in one
+    :func:`rank_batch` call, and one ``np.add.reduceat`` over its full-rank
+    flags counts each of its entries.  On the dual of :func:`_rank_space`
+    an m-subset is full rank when its complementary (n - m)-subset is
+    independent, so j = n - m <= n - k and a rank of j counts; on the
+    primal j = m and the row count does.  A space without ``packed``
     ranks and selects nothing, but still fills the buffer with every block
-    of draws, so that a shared generator moves on identically.  Each block
-    is dropped before the next is built.
+    of draws, so that a shared generator moves on identically.  A block's
+    unkept tables are dropped before it is ranked, and its column sets
+    before the next block is built.
     """
     packed, rows, dual = space
     js = [n - m if dual else m for m in sizes]
@@ -339,15 +402,16 @@ def _count_full_rank(space, n: int, sizes, samples=None, gen=None) -> list[int]:
     counts = dict.fromkeys(js, 0)
     enumerated = [j for j, s in zip(js, samples) if not s]
     for block in itertools.chain(_subset_blocks(n, enumerated), draws):
+        held = [j for j, _ in block]
         bounds = [0, *itertools.accumulate(table.shape[1] for _, table in block)]
-        sets = np.zeros((len(words), max(j for j, _ in block), bounds[-1]), dtype=words.dtype)
-        for limb, col in zip(sets, words):
-            for (j, table), a, b in zip(block, bounds, bounds[1:]):
-                limb[:j, a:b] = col[table]
+        sets = _fill(block, bounds, words, n)
+        del block  # unkept tables go before ranking
         ranks = rank_batch(sets.transpose(2, 1, 0), rows)
-        for (j, table), a, b in zip(block, bounds, bounds[1:]):
-            counts[j] += int((ranks[a:b] == (j if dual else rows)).sum())
-        del block, table, sets, limb, ranks
+        del sets
+        full = ranks == (np.repeat(held, np.diff(bounds)) if dual else rows)
+        del ranks
+        for j, c in zip(held, np.add.reduceat(full, bounds[:-1]).tolist()):
+            counts[j] += c
     return [counts[j] for j in js]
 
 

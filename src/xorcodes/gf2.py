@@ -109,14 +109,14 @@ def pack_columns(a: np.ndarray) -> np.ndarray:
     """Pack a (k, n) 0/1 array into (n, ceil(k/64)) column limbs, bit j of limb j // 64 = row j.
 
     One limb is the narrowest unsigned word that holds k bits; several limbs are uint64.
+    ``np.packbits`` packs each column's rows little-endian into bytes, zero-padded to whole
+    words, which read as little-endian words are the limbs.
     """
     k, n = a.shape
-    limbs = (k + 63) // 64
     word = np.min_scalar_type((1 << min(k, 64)) - 1)
-    out = np.zeros((n, limbs), dtype=word)
-    for j in range(k):
-        out[:, j // 64] |= a[j, :].astype(word) << word.type(j % 64)
-    return out
+    out = np.zeros((n, -(-k // 64) * word.itemsize), dtype=np.uint8)
+    out[:, :-(-k // 8)] = np.packbits(a, axis=0, bitorder="little").T
+    return out.view(word.newbyteorder("<")).astype(word, copy=False)
 
 
 def rank(M: BinaryMatrix) -> int:

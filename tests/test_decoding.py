@@ -4,6 +4,7 @@ import math
 import tracemalloc
 import weakref
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -14,8 +15,8 @@ from hypothesis import strategies as st
 import xorcodes as xc
 from xorcodes import decoding
 from xorcodes.decoding import (_comb_table, _count_full_rank, _distinct_rows, _loss_table,
-                               _mask_width, _mobius_counts, _rank_space, _select,
-                               _subset_blocks, _subspaces, _unrank, format_float)
+                               _mask_width, _membership, _mobius_counts, _rank_space,
+                               _select, _subset_blocks, _subspaces, _unrank, format_float)
 from xorcodes.gf2 import rank_batch
 
 # frozen by independent naive enumeration of the shipped [13,5] matrix
@@ -537,6 +538,71 @@ class TestExactVd:
             list(range(5, 14))]
         assert [[(j, t.shape[1]) for j, t in b] for b in _subset_blocks(18, [9, 8, 1, 0])] == [
             [(9, 48_620)], [(8, 43_758), (1, 18), (0, 1)]]
+
+    def test_subset_blocks_hold_masks_in_the_block_of_the_n_subset(self):
+        # the [13,5] block holds j = 13, so every size comes as its kept membership mask
+        [block] = _subset_blocks(13, range(5, 14))
+        [again] = _subset_blocks(13, range(5, 14))
+        assert [j for j, _ in block] == list(range(5, 14))
+        for (j, mask), (_, same) in zip(block, again):
+            assert mask is same is _membership(13, j)
+            assert mask.dtype == np.uint8 and mask.shape == (13, math.comb(13, j))
+            assert mask.T.tolist() == [[int(c in s) for c in range(13)]
+                                       for s in itertools.combinations(range(13), j)]
+            with pytest.raises(ValueError):
+                mask[0, 0] = 1
+        # each limb of two uint64 limbs is the masks times that limb's column words
+        words = np.random.default_rng(0).integers(0, 2**64, size=(2, 13), dtype=np.uint64)
+        bounds = [0, *itertools.accumulate(mask.shape[1] for _, mask in block)]
+        sets = decoding._fill(block, bounds, words, 13)
+        masks = np.concatenate([mask for _, mask in block], axis=1)
+        assert sets.dtype == np.uint64 and (sets == masks * words[:, :, None]).all()
+
+    def test_sampled_high_rate_vector_takes_no_masks(self, monkeypatch):
+        # every [40,36] column set is ranked on the 4-row dual, as j = 40 - m <= 4 columns
+        G = xc.parse_matrix((Path(__file__).resolve().parent.parent / "testdata"
+                             / "h_40_36.txt").read_text())
+        widths = []
+
+        def recording(colsets, rows):
+            widths.append(colsets.shape[1])
+            return rank_batch(colsets, rows)
+
+        def refuse(n, j):
+            raise AssertionError("a membership mask was built for a dual vector")
+
+        monkeypatch.setattr(decoding, "rank_batch", recording)
+        monkeypatch.setattr(decoding, "_membership", refuse)
+        vd = xc.sampled_vd(G, 500, 3, max_subsets=100)
+        assert vd.samples == (500,) * 3 + (0,) * 2 and widths and max(widths) <= 40 - 36
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(st.data())
+    def test_full_width_and_narrow_blocks_match_brute_force(self, data):
+        # a primal code (n - k = 0 or >= k) with the n-subset and other sizes, whose
+        # blocks split by a patched _CHUNK: the block of j = n is n-row masks, every
+        # other block (j < n) index tables, each counted by one reduction
+        k = data.draw(st.integers(1, 4), label="k")
+        n = data.draw(st.just(k) | st.integers(2 * k, 9), label="n")
+        G = xc.random_matrix(k, n, data.draw(st.integers(0, 99), label="seed"))
+        others = st.sets(st.integers(k, n - 1), min_size=1) if n > k else st.just(set())
+        sizes = sorted(data.draw(others, label="sizes") | {n},
+                       reverse=data.draw(st.booleans(), label="descending"))
+        chunk = data.draw(st.integers(1, 2**n), label="chunk")
+        original, kinds = decoding._subset_blocks, []
+
+        def watched(n, sizes):
+            for block in original(n, sizes):
+                kinds.append({(j == n, t.dtype == np.uint8, t.shape[0] == n) for j, t in block})
+                yield block
+
+        with mock.patch.object(decoding, "_CHUNK", chunk), \
+                mock.patch.object(decoding, "_subset_blocks", watched):
+            got = _count_full_rank(_rank_space(G), n, sizes)
+        assert dict(zip(sizes, got)) == brute_force_counts(G, sizes)
+        masked = [kind for kind in kinds if (True, True, True) in kind]
+        assert len(masked) == 1 and masked[0] <= {(True, True, True), (False, True, True)}
+        assert all(kind <= {(False, False, False)} for kind in kinds if kind not in masked)
 
     def test_rejects_zero_max_subsets(self, g135):
         with pytest.raises(ValueError, match="max_subsets"):

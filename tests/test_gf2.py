@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import xorcodes as xc
@@ -374,6 +374,24 @@ class TestRankBatch:
             # the last row lands in the highest bit that k rows use
             top = packed[:, -1] >> dtype((k - 1) % 64) & dtype(1)
             assert top.tolist() == M.array[-1].tolist()
+
+    @settings(max_examples=80, derandomize=True, deadline=None)
+    @given(st.tuples(st.integers(1, 130), st.integers(1, 6), st.integers(0, 2**32 - 1)))
+    @example((8, 3, 0))  # a full uint8 word
+    @example((9, 3, 1))  # uint16
+    @example((32, 3, 2))  # a full uint32 word
+    @example((64, 3, 3))  # a full uint64 limb
+    @example((128, 2, 4))  # two full limbs
+    @example((130, 2, 5))  # three limbs, the last holding two rows
+    def test_pack_columns_matches_python_ints(self, case):
+        k, n, seed = case
+        a = np.random.default_rng(seed).integers(0, 2, size=(k, n), dtype=np.uint8)
+        packed = pack_columns(a)
+        word = {1: np.uint8, 2: np.uint16, 3: np.uint32, 4: np.uint32}.get(-(-k // 8), np.uint64)
+        assert packed.dtype == word and packed.shape == (n, -(-k // 64))
+        # column c is sum_j a[j, c] 2^j, limb l its bits 64 l .. 64 l + 63
+        want = [sum(int(a[j, c]) << j for j in range(k)) for c in range(n)]
+        assert [sum(int(x) << 64 * i for i, x in enumerate(row)) for row in packed.tolist()] == want
 
 
 class TestMatrixText:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import xorcodes as xc
-from xorcodes.decoding import _comb_table
+from xorcodes.decoding import _comb_table, _membership
 
 
 def small_cfg(**kw):
@@ -228,8 +228,9 @@ class TestSearchFamily:
     def test_deterministic_cold_and_warm_cache(self):
         cfg = small_cfg(attempts=8)
         _comb_table.cache_clear()
+        _membership.cache_clear()
         a = xc.search_family(cfg, algorithm=2)
-        b = xc.search_family(cfg, algorithm=2)  # every subset table now memoised
+        b = xc.search_family(cfg, algorithm=2)  # every subset table and mask now memoised
         assert len(a) == len(b)
         for x, y in zip(a, b):
             assert x.G == y.G and x.provenance == y.provenance
