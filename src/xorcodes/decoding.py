@@ -24,8 +24,8 @@ once, in the word ``pack_columns`` chooses (uint8 for up to 8 rows), and
 a block is ranked in one batch call, so a [13,5] vector is one call.  A
 block that holds the n-subset (the last block of every primal vector) is
 n columns wide anyway, so it is filled from 0/1 membership masks, one
-(n, C(n, j)) uint8 table per size: one concatenation, then one multiply
-by the column words per limb.  Every narrower block (all of a dual's,
+(n, C(n, j)) uint8 table per size: one concatenation and one broadcast
+multiply by the column words.  Every narrower block (all of a dual's,
 sizes larger than one block, sampled draws) is filled limb by limb with
 1-d gathers from subset index tables, unranked in numpy by the
 combinatorial number system.  The mask or intp table of every size that
@@ -340,19 +340,14 @@ def _fill(block, bounds, words: np.ndarray, n: int) -> np.ndarray:
 
     A block of width n holds masks (sampled draws never do: the one
     n-subset is always enumerated, and a dual's j is at most n - k).  It is
-    one ``np.concatenate`` of its masks into limb 0 and one ``np.multiply``
-    per limb by that limb's column words, limb 0, which the others read,
-    last; every row is written.  Any other block starts zeroed, and each
-    table gathers every limb into its first j rows, leaving inert zero
-    columns below.
+    one concatenation of its masks and one broadcast multiply by the column
+    words, which keeps the words' dtype.  Any other block starts zeroed,
+    and each table gathers every limb into its first j rows, leaving inert
+    zero columns below.
     """
     width = max(j for j, _ in block)
     if width == n:
-        sets = np.empty((len(words), n, bounds[-1]), words.dtype)
-        np.concatenate([mask for _, mask in block], axis=1, out=sets[0])
-        for limb, col in zip(sets[::-1], words[::-1]):
-            np.multiply(sets[0], col[:, None], out=limb)
-        return sets
+        return np.concatenate([mask for _, mask in block], axis=1) * words[:, :, None]
     sets = np.zeros((len(words), width, bounds[-1]), words.dtype)
     for limb, col in zip(sets, words):
         for (j, table), a, b in zip(block, bounds, bounds[1:]):
@@ -838,6 +833,13 @@ def sweep_csv(points) -> str:
 
 
 def display_round(x: float, ndigits: int = 3) -> float:
-    """Round half away from zero, the convention used for printed tables."""
-    q = Decimal(1).scaleb(-ndigits)
-    return float(Decimal(repr(float(x))).quantize(q, rounding=ROUND_HALF_UP))
+    """Round half away from zero, the convention used for printed tables.
+
+    A value with no digit below 10^-ndigits (inf, nan, 1e300) comes back
+    unchanged; any other has at most 17 significant digits, whose quantized
+    form fits Decimal's default 28-digit context.
+    """
+    d = Decimal(repr(float(x)))
+    if not d.is_finite() or d.as_tuple().exponent >= -ndigits:
+        return float(d)
+    return float(d.quantize(Decimal(1).scaleb(-ndigits), rounding=ROUND_HALF_UP))

@@ -150,10 +150,7 @@ def incidence_matrix(R: LatinRectangle) -> BinaryMatrix:
     """
     k = R.width
     M = np.zeros((k, k), dtype=np.uint8)
-    cells = R.cells
-    for r in range(R.height):
-        for c in range(k):
-            M[c, cells[r, c] - 1] = 1
+    M[np.arange(k), R.cells - 1] = 1
     return BinaryMatrix(M)
 
 

@@ -551,12 +551,20 @@ class TestExactVd:
                                        for s in itertools.combinations(range(13), j)]
             with pytest.raises(ValueError):
                 mask[0, 0] = 1
-        # each limb of two uint64 limbs is the masks times that limb's column words
-        words = np.random.default_rng(0).integers(0, 2**64, size=(2, 13), dtype=np.uint64)
+
+    @pytest.mark.parametrize("dtype,limbs", [(np.uint8, 1), (np.uint64, 2)])
+    def test_fill_lays_each_subset_over_all_n_rows(self, dtype, limbs):
+        # the search's one uint8 limb, and two uint64 limbs as above 64 rows: in column c of
+        # every limb, the c-th subset in itertools' order holds its word at each member, 0 elsewhere
+        [block] = _subset_blocks(13, range(5, 14))
+        words = np.random.default_rng(0).integers(0, np.iinfo(dtype).max, size=(limbs, 13),
+                                                  dtype=dtype, endpoint=True)
         bounds = [0, *itertools.accumulate(mask.shape[1] for _, mask in block)]
         sets = decoding._fill(block, bounds, words, 13)
-        masks = np.concatenate([mask for _, mask in block], axis=1)
-        assert sets.dtype == np.uint64 and (sets == masks * words[:, :, None]).all()
+        assert sets.dtype == dtype and sets.shape == (limbs, 13, bounds[-1])
+        subsets = [s for j in range(5, 14) for s in itertools.combinations(range(13), j)]
+        assert sets.transpose(0, 2, 1).tolist() == [
+            [[w[c] if c in s else 0 for c in range(13)] for s in subsets] for w in words.tolist()]
 
     def test_sampled_high_rate_vector_takes_no_masks(self, monkeypatch):
         # every [40,36] column set is ranked on the 4-row dual, as j = 40 - m <= 4 columns
@@ -1233,6 +1241,10 @@ class TestDisplayRound:
         (0.0005, 0.001),
         (-0.0005, -0.001),
         (1.0, 1.0),
+        # non-finite values pass through; a huge one has nothing to round
+        (math.inf, math.inf),
+        (-math.inf, -math.inf),
+        (1e300, 1e300),
     ])
     def test_half_away_from_zero(self, x, want):
         assert xc.display_round(x) == want
